@@ -84,6 +84,13 @@ def _parse_ints(spec: str):
     return tuple(int(tok) for tok in str(spec).split(","))
 
 
+def _positive_int(spec: str) -> int:
+    value = int(spec)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _parse_beta_range(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -227,18 +234,13 @@ def _cmd_perturb(args) -> int:
 # ----------------------------------------------------------------------- pauli
 
 def _cmd_pauli(args) -> int:
-    from .pauli import InsufficientSpectrumError, pauli_spectrum
+    from .pauli import _grow_until_certified, pauli_spectrum
     profile = load_profile(args.domain)
     geo = factors(profile)
-    n_magnetic = args.n + max(2, args.n // 2)
-    while True:
-        cfg = _solver_config(args, DIRICHLET, args.beta, n_magnetic)
-        magnetic = solve(profile, cfg)
-        try:
-            ps = pauli_spectrum(magnetic, args.n, g=geo.g)
-            break
-        except InsufficientSpectrumError as exc:
-            n_magnetic = exc.required
+    magnetic, _ = _grow_until_certified(
+        lambda count: solve(profile, _solver_config(args, DIRICHLET, args.beta, count)),
+        args.n, start=args.n + max(2, args.n // 2))
+    ps = pauli_spectrum(magnetic, args.n, g=geo.g)
     csv_text = _comment_header(args) + ps.to_csv()
     print(csv_text, end="")
     if args.out:
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--mode-index", type=int, default=0,
                    help="disk mode index (0 = ground state)")
-    p.add_argument("--n-eta", type=int, default=64, help="rotation samples")
+    p.add_argument("--n-eta", type=_positive_int, default=64, help="rotation samples")
     p.add_argument("--out", help="write report JSON here")
     p.add_argument("--plot", choices=["svg"])
     p.set_defaults(func=_cmd_transplant)

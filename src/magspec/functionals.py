@@ -11,7 +11,7 @@ margin is no worse than the propagated discretization error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from . import disk as disk_mod
@@ -184,16 +184,11 @@ def domain_and_disk_spectra(profile: RadiusProfile, beta: float, bc: str,
     if cfg is None:
         cfg = SolverConfig(n_radial=64, n_angular=128, bc=bc, beta=beta, n_eigs=n)
     else:
-        cfg = SolverConfig(n_radial=cfg.n_radial, n_angular=cfg.n_angular,
-                           bc=bc, beta=beta, n_eigs=max(cfg.n_eigs, n),
-                           tolerance=cfg.tolerance)
+        cfg = replace(cfg, bc=bc, beta=beta, n_eigs=max(cfg.n_eigs, n))
     domain = solve_with_error_bars(profile, cfg)
     if bc == DIRICHLET:
         analytic = disk_mod.disk_eigenvalues(beta, n)
-        disk_side = MagneticSpectrum(
-            eigenvalues=analytic.eigenvalues, bc=analytic.bc, beta=beta,
-            area=analytic.area, provenance=analytic.provenance,
-            modes=analytic.modes, error_bars=(0.0,) * n)
+        disk_side = replace(analytic, error_bars=(0.0,) * n)
     else:
         disk_side = solve_with_error_bars(RadiusProfile(1.0), cfg)
     return domain, disk_side
@@ -216,18 +211,28 @@ def verify_bounds(profile: RadiusProfile, beta: float, bc: str, n,
     against the disk side (G = 1 there) and reports the margin with the
     Richardson error bar propagated through Phi's Lipschitz constant.
     """
+    def sides(n_max):
+        domain, disk_side = domain_and_disk_spectra(profile, beta, bc, n_max, cfg)
+        g = factors(profile).g
+        return ([v / g for v in domain.normalized],
+                [b * domain.area / g for b in domain.error_bars],
+                list(disk_side.normalized),
+                [b * disk_side.area for b in disk_side.error_bars])
+
+    return _verdicts(n, phis, sides, validate_bc(bc), beta)
+
+
+def _verdicts(n, phis, sides, bc: str, beta: float) -> list:
+    """One verdict per functional and partial-sum length.
+
+    sides(n_max) returns the normalized domain values, their bars, the
+    disk values and their bars, each with at least n_max entries.
+    """
     ns = sorted({int(n)} if isinstance(n, (int, float)) else {int(v) for v in n})
     if not ns or ns[0] < 1:
         raise ValueError(f"partial-sum lengths must be >= 1, got {ns}")
     phis = tuple(phis) if phis is not None else PhiFamily.all_families()
-    n_max = ns[-1]
-    domain, disk_side = domain_and_disk_spectra(profile, beta, bc, n_max, cfg)
-    g = factors(profile).g
-
-    dom_vals = [v / g for v in domain.normalized]
-    dom_bars = [b * domain.area / g for b in domain.error_bars]
-    disk_vals = list(disk_side.normalized)
-    disk_bars = [b * disk_side.area for b in disk_side.error_bars]
+    dom_vals, dom_bars, disk_vals, disk_bars = sides(ns[-1])
 
     verdicts = []
     for phi in phis:
@@ -239,7 +244,7 @@ def verify_bounds(profile: RadiusProfile, beta: float, bc: str, n,
             margin = (lhs - rhs) if phi.minimal_for_disk else (rhs - lhs)
             verdicts.append(BoundVerdict(
                 functional=phi.label, n=count, lhs=lhs, rhs=rhs, margin=margin,
-                error_bar=bar, holds=margin >= -bar, bc=domain.bc, beta=beta))
+                error_bar=bar, holds=margin >= -bar, bc=bc, beta=beta))
     return verdicts
 
 

@@ -157,9 +157,14 @@ class RadiusProfile:
     def from_dict(cls, data: dict) -> "RadiusProfile":
         if "samples" in data:
             return cls.from_samples(data["samples"])
+        entries = data.get("harmonics", ())
+        if (not isinstance(entries, (list, tuple))
+                or not all(isinstance(h, dict) and "n" in h for h in entries)):
+            raise ValueError('harmonics must be a list of {"n": .., "a": .., "b": ..} '
+                             f"entries, got {entries!r}")
         harmonics = tuple(
             (int(h["n"]), float(h.get("a", 0.0)), float(h.get("b", 0.0)))
-            for h in data.get("harmonics", ()))
+            for h in entries)
         return cls(r0=float(data["r0"]), harmonics=harmonics)
 
 

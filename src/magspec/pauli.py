@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import disk as disk_mod
-from .functionals import (BoundVerdict, PhiFamily, domain_and_disk_spectra,
-                          phi_sum_values, propagated_error_bar)
+from .functionals import PhiFamily, _verdicts, domain_and_disk_spectra
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig
 from .spectra import DIRICHLET, MagneticSpectrum
@@ -157,48 +156,23 @@ def verify_pauli_bounds(profile: RadiusProfile, beta: float, n,
     magnetic eigenvalues; error bars are inherited from the parent
     magnetic eigenvalues through the merge.
     """
-    ns = sorted({int(n)} if isinstance(n, (int, float)) else {int(v) for v in n})
-    if not ns or ns[0] < 1:
-        raise ValueError(f"partial-sum lengths must be >= 1, got {ns}")
-    phis = tuple(phis) if phis is not None else PhiFamily.all_families()
-    n_max = ns[-1]
+    def sides(n_max):
+        magnetic, dom_pauli = _grow_until_certified(
+            lambda count: domain_and_disk_spectra(profile, beta, DIRICHLET,
+                                                  count, cfg)[0],
+            n_max, start=n_max + 2)
+        disk_magnetic, disk_pauli = _grow_until_certified(
+            lambda count: disk_mod.disk_eigenvalues(beta, count),
+            n_max, start=len(magnetic.eigenvalues))
 
-    cache = {}
+        g = factors(profile).g
+        shift = abs(beta) / magnetic.area
+        dom_vals = [(v + shift) * magnetic.area / g for v in dom_pauli.eigenvalues]
+        dom_bars = [magnetic.error_bars[src] * magnetic.area / g
+                    for _, _, src in dom_pauli.entries]
+        disk_shift = abs(beta) / disk_magnetic.area
+        disk_vals = [(v + disk_shift) * disk_magnetic.area
+                     for v in disk_pauli.eigenvalues]
+        return dom_vals, dom_bars, disk_vals, [0.0] * len(disk_vals)
 
-    def fetch_domain(count):
-        if count not in cache:
-            cache[count] = domain_and_disk_spectra(profile, beta, DIRICHLET,
-                                                   count, cfg)
-        return cache[count][0]
-
-    magnetic, dom_pauli = _grow_until_certified(fetch_domain, n_max,
-                                                start=n_max + 2)
-
-    def fetch_disk(count):
-        return disk_mod.disk_eigenvalues(beta, count)
-
-    disk_magnetic, disk_pauli = _grow_until_certified(
-        fetch_disk, n_max, start=len(magnetic.eigenvalues))
-
-    g = factors(profile).g
-    shift = abs(beta) / magnetic.area
-    dom_vals = [(v + shift) * magnetic.area / g for v in dom_pauli.eigenvalues]
-    dom_bars = [magnetic.error_bars[src] * magnetic.area / g
-                for _, _, src in dom_pauli.entries]
-    disk_shift = abs(beta) / disk_magnetic.area
-    disk_vals = [(v + disk_shift) * disk_magnetic.area
-                 for v in disk_pauli.eigenvalues]
-    disk_bars = [0.0] * len(disk_vals)
-
-    verdicts = []
-    for phi in phis:
-        for count in ns:
-            lhs = phi_sum_values(dom_vals, phi, count)
-            rhs = phi_sum_values(disk_vals, phi, count)
-            bar = (propagated_error_bar(dom_vals, dom_bars, phi, count)
-                   + propagated_error_bar(disk_vals, disk_bars, phi, count))
-            margin = (lhs - rhs) if phi.minimal_for_disk else (rhs - lhs)
-            verdicts.append(BoundVerdict(
-                functional=phi.label, n=count, lhs=lhs, rhs=rhs, margin=margin,
-                error_bar=bar, holds=margin >= -bar, bc=DIRICHLET, beta=beta))
-    return verdicts
+    return _verdicts(n, phis, sides, DIRICHLET, beta)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -262,13 +262,8 @@ def slope_validation(beta: float, profile: PerturbationProfile,
     c = coefficient_c(b0)
     predicted = sum(c * abs(v) ** 2 * q[n] for n, v in profile.p)
 
-    levels = [SolverConfig(n_radial=max(8, cfg.n_radial // 2),
-                           n_angular=max(16, cfg.n_angular // 2),
-                           bc="dirichlet", beta=b0, n_eigs=1,
-                           tolerance=cfg.tolerance),
-              SolverConfig(n_radial=cfg.n_radial, n_angular=cfg.n_angular,
-                           bc="dirichlet", beta=b0, n_eigs=1,
-                           tolerance=cfg.tolerance)]
+    fine = replace(cfg, bc="dirichlet", beta=b0, n_eigs=1)
+    levels = [fine.coarsened(), fine]
     disk = RadiusProfile(1.0)
     disk_vals = [solve(disk, lv).eigenvalues[0] for lv in levels]
 

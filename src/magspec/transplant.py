@@ -22,7 +22,7 @@ discrete eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -79,6 +79,8 @@ def transplant_identity(profile: RadiusProfile, mode: DiskMode,
 
     identity_residual = |Q1_avg - G0 * E_rad| + |Q3_avg - G1 * E_ang|.
     """
+    if n_eta < 1:
+        raise ValueError(f"n_eta must be >= 1, got {n_eta}")
     b0 = abs(mode.beta)
     m_int = mode.internal_m
     s, ws, f, fp = _radial_samples(mode)
@@ -183,9 +185,7 @@ def sum_bound_chain(profile: RadiusProfile, beta: float, n: int,
     if cfg is None:
         cfg = SolverConfig(n_radial=64, n_angular=128, beta=beta, n_eigs=n)
     else:
-        cfg = SolverConfig(n_radial=cfg.n_radial, n_angular=cfg.n_angular,
-                           bc="dirichlet", beta=beta, n_eigs=n,
-                           tolerance=cfg.tolerance)
+        cfg = replace(cfg, bc="dirichlet", beta=beta, n_eigs=n)
     geo = factors(profile)
     domain = solve_with_error_bars(profile, cfg)
     bar = sum(b * domain.area for b in domain.error_bars[:n]) / geo.g

@@ -56,6 +56,13 @@ class TestFactors:
             main(["factors"])  # --domain required
         assert info.value.code == 2
 
+    def test_malformed_harmonics_is_computation_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"r0": 1.0, "harmonics": [[3, 0.1, 0.0]]}))
+        assert main(["factors", "--domain", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "magspec factors: error:" in err and '"n"' in err
+
 
 class TestSpectrumCommands:
     def test_disk_csv_roundtrip(self, capsys, tmp_path):
@@ -109,6 +116,13 @@ class TestVerify:
         parsed = verdicts_from_csv((tmp_path / "v.csv").read_text())
         assert [v.to_dict() for v in parsed] == doc["verdicts"]
 
+    def test_angular_count_not_divisible_by_four(self, capsys, ellipse_json):
+        code, out = run(capsys, [
+            "verify", "--domain", ellipse_json, "--beta", "5", "--n", "1",
+            "--nr", "12", "--nt", "34"])
+        assert code == 0
+        assert "all bounds hold: true" in out
+
     def test_phi_subset(self, capsys, ellipse_json):
         code, out = run(capsys, [
             "verify", "--domain", ellipse_json, "--beta", "5",
@@ -128,6 +142,14 @@ class TestTransplantAndPerturb:
         doc = json.loads(out_path.read_text())
         assert doc["transplant"]["identity_residual"] <= 1e-6
         assert abs(doc["transplant"]["q2_avg"]) <= 1e-8
+
+    @pytest.mark.parametrize("n_eta", ["0", "-3"])
+    def test_transplant_rejects_nonpositive_n_eta(self, capsys, ellipse_json, n_eta):
+        with pytest.raises(SystemExit) as info:
+            main(["transplant", "--domain", ellipse_json, "--beta", "5",
+                  "--n-eta", n_eta])
+        assert info.value.code == 2
+        assert "--n-eta" in capsys.readouterr().err
 
     def test_perturb_report(self, capsys, tmp_path):
         ppath = tmp_path / "p.json"

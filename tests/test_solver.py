@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(bc="robin")
 
+    def test_coarsened_is_legal_and_halves(self):
+        for nt in range(16, 65, 2):
+            half = SolverConfig(n_radial=20, n_angular=nt).coarsened()
+            assert half.n_angular % 2 == 0 and half.n_angular >= 16
+            old_rule = max(16, nt // 2)
+            if old_rule % 2 == 0:
+                assert half.n_angular == old_rule
+            assert half.n_radial == 10
+
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
             MagneticSpectrum((3.0, 2.0), "dirichlet", 0.0, 1.0, "analytic")

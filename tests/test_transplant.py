@@ -47,6 +47,12 @@ class TestIdentity:
         assert abs(rep1.q1_avg - rep2.q1_avg) < 1e-10
         assert abs(rep1.q3_avg - rep2.q3_avg) < 1e-10
 
+    @pytest.mark.parametrize("n_eta", [0, -3])
+    def test_rejects_nonpositive_n_eta(self, n_eta):
+        mode = disk_eigenvalues(5.0, 1).modes[0]
+        with pytest.raises(ValueError, match="n_eta"):
+            transplant_identity(ELLIPSE, mode, n_eta=n_eta, n_theta=64)
+
     def test_mass_is_area_over_pi(self):
         mode = disk_eigenvalues(5.0, 1).modes[0]
         for profile in (ELLIPSE, FLOWER):
