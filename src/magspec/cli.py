@@ -5,7 +5,7 @@ Subcommands
     disk        analytic Dirichlet disk spectrum (Kummer / Bessel roots)
     solve       discrete spectrum of an arbitrary starlike domain
     verify      disk-maximality bound verdicts for Phi-functionals
-    transplant  rotation-averaged transplantation identity report
+    transplant  transplantation identity report for one disk mode
     perturb     perturbation coefficients and solver slope validation
     pauli       Dirichlet Pauli spectrum by shift-and-union
     sweep       flux sweep (exploratory; e.g. Neumann ground-mode tracking)
@@ -82,13 +82,6 @@ def _parse_phis(spec: str):
 
 def _parse_ints(spec: str):
     return tuple(int(tok) for tok in str(spec).split(","))
-
-
-def _positive_int(spec: str) -> int:
-    value = int(spec)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
 
 
 def _parse_beta_range(spec: str):
@@ -188,7 +181,7 @@ def _cmd_transplant(args) -> int:
     profile = load_profile(args.domain)
     spectrum = disk_eigenvalues(args.beta, args.mode_index + 1)
     mode = spectrum.modes[args.mode_index]
-    report = transplant_identity(profile, mode, n_eta=args.n_eta)
+    report = transplant_identity(profile, mode)
     payload = {
         "mode": {"m": mode.m, "k": mode.k, "eigenvalue": mode.eigenvalue},
         "q1_avg": report.q1_avg, "q2_avg": report.q2_avg, "q3_avg": report.q3_avg,
@@ -357,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--mode-index", type=int, default=0,
                    help="disk mode index (0 = ground state)")
-    p.add_argument("--n-eta", type=_positive_int, default=64, help="rotation samples")
     p.add_argument("--out", help="write report JSON here")
     p.add_argument("--plot", choices=["svg"])
     p.set_defaults(func=_cmd_transplant)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kummer import bessel_j, bessel_j_zero, kummer_m, kummer_m_dz
+from .kummer import bessel_j_zero, kummer_m, kummer_m_da, kummer_m_dz
 from .quadrature import adaptive_integral
 from .spectra import DIRICHLET, MagneticSpectrum
 
@@ -39,7 +39,7 @@ __all__ = [
     "rayleigh_energy",
 ]
 
-_BOUNDARY_RESIDUAL_TOL = 1e-10
+_ROOT_STEP_TOL = 1e-10
 
 
 class IncompleteSpectrumError(RuntimeError):
@@ -168,13 +168,30 @@ def _collect_magnetic(b0: float, n: int):
         x_max *= 1.6
 
 
+def _check_root(m_int: int, k: int, x: float, b0: float, z: float) -> None:
+    """Raise unless x = lambda*pi is a root of mode m_int to a relative
+    Newton step of 1e-10: |M| <= 1e-10 * |x dM/dx|.
+
+    An absolute bound on |M| cannot serve at strong flux: near x ~ 150 the
+    slope |x dM/dx| reaches ~5e8, so one ulp of x already moves M by ~1e-7.
+    """
+    a = _kummer_parameter(m_int, x, b0)
+    b = abs(m_int) + 1.0
+    residual = abs(kummer_m(a, b, z))
+    slope = abs(x * kummer_m_da(a, b, z)) / (2.0 * b0)  # da/dx = -1/(2 b0)
+    if residual > _ROOT_STEP_TOL * slope:
+        raise RuntimeError(
+            f"disk mode (m={m_int}, k={k}) root residual {residual:.3g} "
+            f"exceeds 1e-10 * |x dM/dx| = {_ROOT_STEP_TOL * slope:.3g}")
+
+
 @lru_cache(maxsize=64)
 def disk_eigenvalues(beta: float, n: int) -> MagneticSpectrum:
     """n smallest Dirichlet eigenvalues of the unit disk at flux beta.
 
     Returns an analytic spectrum whose modes carry the (m, k) labels and
-    Kummer parameters; every Kummer-root mode satisfies
-    |M(a, |m|+1, z)| <= 1e-10.
+    Kummer parameters; every Kummer-root mode passes the relative
+    Newton-step test |M(a, |m|+1, z)| <= 1e-10 * |x dM/dx| at x = lambda*pi.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 eigenvalues, got {n}")
@@ -186,17 +203,11 @@ def disk_eigenvalues(beta: float, n: int) -> MagneticSpectrum:
         raw, z = _collect_magnetic(b0, n)
         modes = []
         for x, m_int, k in raw:
-            lam = x / math.pi
-            a = _kummer_parameter(m_int, x, b0)
-            b = abs(m_int) + 1.0
-            residual = abs(kummer_m(a, b, z))
-            if residual > _BOUNDARY_RESIDUAL_TOL:
-                raise RuntimeError(
-                    f"disk mode (m={m_int}, k={k}) root residual {residual:.3g} "
-                    "exceeds 1e-10")
+            _check_root(m_int, k, x, b0, z)
             m_label = m_int if beta > 0 else -m_int
-            modes.append(DiskMode(m=m_label, k=k, eigenvalue=lam, beta=beta,
-                                  a=a, b=b, z=z))
+            modes.append(DiskMode(m=m_label, k=k, eigenvalue=x / math.pi,
+                                  beta=beta, a=_kummer_parameter(m_int, x, b0),
+                                  b=abs(m_int) + 1.0, z=z))
     return MagneticSpectrum(
         eigenvalues=tuple(md.eigenvalue for md in modes),
         bc=DIRICHLET, beta=beta, area=math.pi,
@@ -241,9 +252,8 @@ def disk_radial_profile(mode: DiskMode, s_grid) -> np.ndarray:
     """f_m(s, lambda*pi) on the given radii in (0, 1]; unnormalized."""
     s = np.asarray(s_grid, dtype=float)
     if mode.beta == 0.0:
-        root = math.sqrt(mode.eigenvalue)
-        return np.array([bessel_j(abs(mode.m), root * si) for si in s.ravel()]
-                        ).reshape(s.shape)
+        from scipy.special import jv  # on first use, as in kummer
+        return jv(abs(mode.m), math.sqrt(mode.eigenvalue) * s)
     b0 = abs(mode.beta)
     am = abs(mode.m)
     pref = (s * s / math.pi) ** (am / 2.0) * np.exp(-b0 * s * s / (4.0 * math.pi))
@@ -256,14 +266,9 @@ def disk_radial_profile_deriv(mode: DiskMode, s_grid) -> np.ndarray:
     """d/ds of the radial factor, evaluated analytically (s > 0)."""
     s = np.asarray(s_grid, dtype=float)
     if mode.beta == 0.0:
+        from scipy.special import jvp
         root = math.sqrt(mode.eigenvalue)
-        am = abs(mode.m)
-        if am == 0:
-            dj = [-bessel_j(1, root * si) for si in s.ravel()]
-        else:
-            dj = [0.5 * (bessel_j(am - 1, root * si) - bessel_j(am + 1, root * si))
-                  for si in s.ravel()]
-        return root * np.array(dj).reshape(s.shape)
+        return root * jvp(abs(mode.m), root * s)
     b0 = abs(mode.beta)
     am = abs(mode.m)
     z_of_s = b0 * s * s / (2.0 * math.pi)

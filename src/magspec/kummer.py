@@ -1,16 +1,19 @@
-"""Confluent hypergeometric (Kummer) series and Bessel-zero root finding.
+"""Confluent hypergeometric (Kummer) series, plus Bessel J and its zeros.
 
-Everything here is evaluated from the defining power series, summed in
-fixed 45-digit decimal arithmetic.  The extra working precision matters:
-for strongly negative first parameters the series alternates with terms
-up to ~1e11 times the final value, and float64 accumulation (compensated
-or not) cannot deliver the 1e-9 residual accuracy the eigenvalue solvers
-rely on.  Terms are generated by exact recurrences, so the only rounding
-is the final conversion to float.
+The Kummer function and its derivatives are evaluated from the defining
+power series, summed in fixed 45-digit decimal arithmetic.  The extra
+working precision matters: for strongly negative first parameters the
+series alternates with terms up to ~1e11 times the final value, and
+float64 accumulation (compensated or not) cannot deliver the 1e-9
+residual accuracy the eigenvalue solvers rely on.  Terms are generated by
+exact recurrences, so the only rounding is the final conversion to float.
 
 The validated argument range is 0 <= z <= 50, which covers every flux
 value the disk solvers produce (z = beta/2pi or beta*r^2/2pi); larger z
 raises rather than silently losing accuracy to the growing terms.
+
+Bessel J and its positive zeros, needed only at zero flux, come from
+scipy.special in float64.
 """
 
 from __future__ import annotations
@@ -169,74 +172,29 @@ def kummer_m_da(a: float, b: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind and their positive zeros.
-# Implemented from the power series so the package carries no external
-# special-function dependency; adequate for the x-ranges the zero-field
-# disk spectrum needs (x below ~60).
+# Bessel functions of the first kind and their positive zeros.  These need
+# no extended precision: jn_zeros matches 40-digit references to ~2e-16
+# relative for orders <= 30 and k <= 15.  scipy.special is imported on first
+# use: it adds ~70 ms to every import of the package, and only the
+# zero-flux problem needs it.
 
 
 def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order >= 0, from the ascending series."""
+    """J_order(x) for integer order >= 0 and x >= 0."""
     if order < 0 or not float(order).is_integer():
         raise ValueError(f"Bessel order must be a non-negative integer, got {order}")
     if x < 0:
         raise ValueError(f"Bessel argument must be non-negative, got {x}")
-    order, x = int(order), float(x)
-    with localcontext() as ctx:
-        ctx.prec = _PRECISION
-        half = Decimal(x) / 2
-        q = half * half
-        term = half**order / Decimal(math.factorial(order))
-        total = term
-        max_term = abs(term)
-        for m in range(1, 10001):
-            term = -term * q / (m * (m + order))
-            total += term
-            if abs(term) > max_term:
-                max_term = abs(term)
-            # Past the hump and absolutely negligible.  The series
-            # alternates, so a relative-to-sum rule is unsafe near the
-            # zeros of J; compare against the largest term instead.
-            if 2 * m > x and abs(term) <= Decimal("1e-40") * (max_term + 1):
-                return float(total)
-        raise KummerConvergenceError(order, 0.0, x)
-
-
-# Consecutive zeros of J_nu are never closer than ~3.1 apart (their spacing
-# tends to pi monotonically), so a unit-step scan cannot straddle two.
-_ZERO_SCAN_STEP = 1.0
+    from scipy.special import jv
+    return float(jv(int(order), float(x)))
 
 
 @lru_cache(maxsize=None)
 def bessel_j_zero(order: int, k: int) -> float:
-    """k-th positive zero of J_order, k >= 1, located by scan plus bisection."""
+    """k-th positive zero of J_order, k >= 1."""
     if k < 1:
         raise ValueError(f"zero index k must be >= 1, got {k}")
     if order < 0:
         raise ValueError(f"Bessel order must be >= 0, got {order}")
-    x = float(order)  # J_order > 0 on (0, order]; all zeros lie beyond
-    f_lo = bessel_j(order, x) if x > 0 else 1.0
-    crossings = 0
-    while True:
-        x_next = x + _ZERO_SCAN_STEP
-        f_hi = bessel_j(order, x_next)
-        if f_lo * f_hi < 0 or f_hi == 0.0:
-            crossings += 1
-            if crossings == k:
-                return _bisect_bessel(order, x, x_next, f_lo)
-        x, f_lo = x_next, f_hi
-
-
-def _bisect_bessel(order: int, lo: float, hi: float, f_lo: float) -> float:
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = bessel_j(order, mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    from scipy.special import jn_zeros
+    return float(jn_zeros(order, k)[-1])

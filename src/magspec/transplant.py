@@ -1,4 +1,4 @@
-"""Numerical check of the rotation-averaged transplantation identity.
+"""Numerical check of the transplantation identity, one disk mode at a time.
 
 Disk eigenfunctions u(s, phi) = f(s) e^{i m phi} are transplanted to a
 starlike domain through the constant-Jacobian map, v(r, theta) =
@@ -9,14 +9,19 @@ into three pieces:
     Q2 = 2 Re int conj(u_s)(-u_phi/s + i(beta/2pi)s u) s ds (pi/A) R R' dtheta
     Q3 = int |i u_phi/s + (beta/2pi)s u|^2 s ds (pi^2 R^4/A^2) dtheta
 
-After averaging over the rotation angle eta, Q1 -> G0 * (radial energy),
-Q2 -> 0, Q3 -> G1 * (angular energy), which chains into the eigenvalue-sum
-bound sum lambda_j(Omega) A / G <= pi sum lambda_j(D).
+For one separable mode the rotation eta enters only through
+|e^{i m (phi - eta)}|^2 = 1, so no average over eta is needed: the
+integrands factor into a radial integral times a theta-mean, giving
+Q1 = G0 * (radial energy) and Q3 = G1 * (angular energy), while the Q2
+integrand conj(f') f (beta s/2pi - m/s) i is purely imaginary, so Q2 = 0.
+Only a superposition of modes would depend on eta.  The split chains into
+the eigenvalue-sum bound sum lambda_j(Omega) A / G <= pi sum lambda_j(D).
 
-All integrals run over tensor Gauss-Legendre (radial) x uniform (angular)
-grids with the radial factors evaluated once per mode; the identity check
-is therefore a pure quadrature/map consistency test, independent of the
-discrete eigensolver.
+Radial integrals run over panel Gauss-Legendre nodes with the radial
+factors evaluated once per mode, theta-means over a uniform grid; the
+identity check compares that grid with the finer one of the geometric
+factors, so it is a pure quadrature/map consistency test, independent of
+the discrete eigensolver.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ _RADIAL_NODES = 12
 
 @dataclass(frozen=True)
 class TransplantReport:
-    """Eta-averaged energy split of one transplanted disk mode."""
+    """Energy split of one transplanted disk mode (q2_avg is 0 exactly)."""
 
     mode: DiskMode
     q1_avg: float
@@ -74,62 +79,36 @@ def _radial_samples(mode: DiskMode):
 
 def transplant_identity(profile: RadiusProfile, mode: DiskMode,
                         n_eta: int = 64, n_theta: int = _N_THETA) -> TransplantReport:
-    """Average Q1, Q2, Q3 over n_eta rotations and compare with the
+    """Energy split Q1, Q2, Q3 of one transplanted mode, compared with the
     geometric-factor identity.
 
-    identity_residual = |Q1_avg - G0 * E_rad| + |Q3_avg - G1 * E_ang|.
+    The split is the same for every rotation eta, so the result does not
+    depend on n_eta, which must still be >= 1.  The theta-means use n_theta
+    nodes and G0, G1 come from max(n_theta, 4096) nodes;
+    identity_residual = |Q1 - G0 * E_rad| + |Q3 - G1 * E_ang|.
     """
     if n_eta < 1:
         raise ValueError(f"n_eta must be >= 1, got {n_eta}")
-    b0 = abs(mode.beta)
-    m_int = mode.internal_m
     s, ws, f, fp = _radial_samples(mode)
-    ang_coef = b0 * s / (2.0 * math.pi) - m_int / s
+    ang_coef = abs(mode.beta) * s / (2.0 * math.pi) - mode.internal_m / s
 
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
-    wt = 2.0 * math.pi / n_theta
     r = profile.radius(theta)
     rp = profile.radius_deriv(theta)
     geo = factors(profile, n_theta=max(n_theta, 4096))
     area = geo.area
-    phi = angular_map(profile).phi_at(theta)
-
-    q1_list, q2_list, q3_list = [], [], []
-    for eta in np.arange(n_eta) * (2.0 * math.pi / n_eta):
-        phase = np.exp(1j * m_int * (phi - eta))          # (n_theta,)
-        u = f[None, :] * phase[:, None]                   # (n_theta, n_s)
-        u_s = fp[None, :] * phase[:, None]
-        u_phi = 1j * m_int * u
-        ang_op = 1j * u_phi / s[None, :] + (b0 / (2.0 * math.pi)) * s[None, :] * u
-
-        rad_density = np.abs(u_s) ** 2 @ (ws * s)         # (n_theta,)
-        q1 = wt * float(np.dot(rad_density, 1.0 + (rp / r) ** 2))
-
-        cross = 2.0 * np.real(np.conj(u_s)
-                              * (-u_phi / s[None, :]
-                                 + 1j * (b0 / (2.0 * math.pi)) * s[None, :] * u))
-        q2 = wt * float(np.dot(cross @ (ws * s), (math.pi / area) * r * rp))
-
-        ang_density = np.abs(ang_op) ** 2 @ (ws * s)
-        q3 = wt * float(np.dot(ang_density, (math.pi**2 / area**2) * r**4))
-
-        q1_list.append(q1)
-        q2_list.append(q2)
-        q3_list.append(q3)
-
-    q1_avg = float(np.mean(q1_list))
-    q2_avg = float(np.mean(q2_list))
-    q3_avg = float(np.mean(q3_list))
 
     e_rad = 2.0 * math.pi * float(np.dot(ws * s, fp**2))
     e_ang = 2.0 * math.pi * float(np.dot(ws * s, (ang_coef * f) ** 2))
-    residual = abs(q1_avg - geo.g0 * e_rad) + abs(q3_avg - geo.g1 * e_ang)
+    q1 = e_rad * float(np.mean(1.0 + (rp / r) ** 2))
+    q3 = e_ang * (math.pi**2 / area**2) * float(np.mean(r**4))
+    residual = abs(q1 - geo.g0 * e_rad) + abs(q3 - geo.g1 * e_ang)
 
     mass = 2.0 * math.pi * float(np.dot(ws * s, f**2)) * (area / math.pi)
-    bound = (q1_avg + q2_avg + q3_avg) * math.pi / area
+    bound = (q1 + q3) * math.pi / area
 
-    return TransplantReport(mode=mode, q1_avg=q1_avg, q2_avg=q2_avg,
-                            q3_avg=q3_avg, identity_residual=residual,
+    return TransplantReport(mode=mode, q1_avg=q1, q2_avg=0.0,
+                            q3_avg=q3, identity_residual=residual,
                             predicted_sum_bound=bound, g0=geo.g0, g1=geo.g1,
                             radial_energy=e_rad, angular_energy=e_ang, mass=mass)
 

@@ -137,7 +137,7 @@ class TestTransplantAndPerturb:
         out_path = tmp_path / "t.json"
         code, out = run(capsys, [
             "transplant", "--domain", ellipse_json, "--beta", "5",
-            "--mode-index", "0", "--n-eta", "8", "--out", str(out_path)])
+            "--mode-index", "0", "--out", str(out_path)])
         assert code == 0
         doc = json.loads(out_path.read_text())
         assert doc["transplant"]["identity_residual"] <= 1e-6
@@ -145,9 +145,17 @@ class TestTransplantAndPerturb:
 
     @pytest.mark.parametrize("n_eta", ["0", "-3"])
     def test_transplant_rejects_nonpositive_n_eta(self, capsys, ellipse_json, n_eta):
+        # The flag is gone, so every value is an unrecognised-argument error.
         with pytest.raises(SystemExit) as info:
             main(["transplant", "--domain", ellipse_json, "--beta", "5",
                   "--n-eta", n_eta])
+        assert info.value.code == 2
+        assert "--n-eta" in capsys.readouterr().err
+
+    def test_transplant_has_no_n_eta_flag(self, capsys, ellipse_json):
+        with pytest.raises(SystemExit) as info:
+            main(["transplant", "--domain", ellipse_json, "--beta", "5",
+                  "--n-eta", "64"])
         assert info.value.code == 2
         assert "--n-eta" in capsys.readouterr().err
 

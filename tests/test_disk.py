@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from magspec.disk import (angular_energy_fraction, disk_eigenvalues,
+from magspec.disk import (_check_root, angular_energy_fraction, disk_eigenvalues,
                           disk_radial_profile, disk_radial_profile_deriv,
                           normalization_constant, rayleigh_energy)
 from magspec.kummer import bessel_j_zero, kummer_m
@@ -70,6 +70,25 @@ class TestMagneticSpectrum:
     def test_ground_state_radial_across_fluxes(self):
         for beta in (0.5, 2.0, 5.0, 20.0):
             assert disk_eigenvalues(beta, 1).modes[0].m == 0
+
+    def test_strong_flux_lowest_landau_level(self):
+        # at beta = 150 a correct root leaves |M| ~ 1e-7, above any fixed
+        # absolute tolerance; the relative root test accepts it
+        spec = disk_eigenvalues(150.0, 4)
+        assert [(md.m, md.k) for md in spec.modes] == [(0, 1), (1, 1), (2, 1), (3, 1)]
+        for md in spec.modes:
+            assert md.eigenvalue * math.pi / 150.0 == pytest.approx(1.0, abs=1e-3)
+
+
+class TestRootCheck:
+    @pytest.mark.parametrize("beta, n", [(5.0, 6), (150.0, 4)])
+    def test_true_roots_pass_and_shifted_roots_fail(self, beta, n):
+        z = beta / (2 * math.pi)
+        for md in disk_eigenvalues(beta, n).modes:
+            x = md.eigenvalue * math.pi
+            _check_root(md.internal_m, md.k, x, beta, z)
+            with pytest.raises(RuntimeError, match="root residual"):
+                _check_root(md.internal_m, md.k, x * (1 + 1e-9), beta, z)
 
 
 class TestRadialProfile:

@@ -141,6 +141,10 @@ class TestBessel:
         assert bessel_j_zero(1, 1) == pytest.approx(3.831705970207512, abs=1e-10)
         assert bessel_j_zero(0, 2) == pytest.approx(5.520078110286311, abs=1e-10)
 
+    def test_high_order_zero(self):
+        # 40-digit reference (mpmath besseljzero(30, 15))
+        assert bessel_j_zero(30, 15) == pytest.approx(88.31822084728884, rel=1e-14)
+
     def test_zeros_are_roots(self):
         for order in (0, 1, 3, 5):
             for k in (1, 2, 3):

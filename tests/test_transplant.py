@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from magspec.disk import disk_eigenvalues
-from magspec.geometry import RadiusProfile, factors
+from magspec.disk import disk_eigenvalues, disk_radial_profile
+from magspec.geometry import RadiusProfile, angular_map, factors
 from magspec.kummer import bessel_j_zero
-from magspec.solver import SolverConfig
+from magspec.solver import SolverConfig, _assemble
 from magspec.transplant import (sum_bound_chain, transplant_identity,
                                 transplant_overlap)
 
@@ -59,6 +59,30 @@ class TestIdentity:
             rep = transplant_identity(profile, mode, n_eta=8, n_theta=1024)
             expect = factors(profile).area / math.pi
             assert rep.mass == pytest.approx(expect, abs=1e-8)
+
+
+def _fem_quotient(profile, mode, nr, nt):
+    """v^H K v / v^H M v of v = f(s) e^{i m phi(theta)} on the solver's nodes."""
+    stiff, mass, _ = _assemble(profile, mode.beta, nr, nt)
+    f = disk_radial_profile(mode, np.arange(nr + 1) / nr)  # f(0) = 0 unless m = 0
+    phase = np.exp(1j * mode.m * angular_map(profile).phi_at(
+        np.arange(nt) * (2 * np.pi / nt)))
+    v = np.concatenate(([f[0]], np.outer(f[1:], phase).ravel()))
+    return (np.vdot(v, stiff @ v) / np.vdot(v, mass @ v)).real
+
+
+class TestAgainstFem:
+    """The split checked against the discrete quadratic form, not itself."""
+
+    @pytest.mark.parametrize("beta", [5.0, -2.0])
+    def test_predicted_bound_is_the_fem_rayleigh_quotient(self, beta):
+        for profile in (ELLIPSE, FLOWER):
+            for mode in disk_eigenvalues(beta, 3).modes:
+                coarse = _fem_quotient(profile, mode, 64, 128)
+                fine = _fem_quotient(profile, mode, 128, 256)
+                rep = transplant_identity(profile, mode)
+                assert (4 * fine - coarse) / 3 == pytest.approx(
+                    rep.predicted_sum_bound, rel=1e-6)
 
 
 class TestOrthogonality:
