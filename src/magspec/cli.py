@@ -26,12 +26,16 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
+from .disk import disk_eigenvalues
 from .functionals import PhiFamily, verdicts_to_csv, verify_bounds
 from .geometry import factors, load_profile
+from .pauli import _grow_until_certified, pauli_spectrum
 from .perturbation import (PerturbationProfile, quadratic_bound,
                            slope_validation)
 from .solver import SolverConfig, dominant_angular_mode, solve
 from .spectra import DIRICHLET
+from .svg import curve_svg, domain_outline_svg, spectrum_steps_svg
+from .transplant import transplant_identity
 
 __all__ = ["main"]
 
@@ -58,12 +62,19 @@ def _write_json(path: str, payload: dict, args: argparse.Namespace) -> None:
     _write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
-def _maybe_plot(args: argparse.Namespace, svg_text: str) -> None:
+def _emit_csv(args: argparse.Namespace, body: str) -> None:
+    csv_text = _comment_header(args) + body
+    print(csv_text, end="")
+    if args.out:
+        _write(args.out, csv_text)
+
+
+def _maybe_plot(args: argparse.Namespace, render, *data) -> None:
+    """Write render(*data) beside --out when --plot is given; draw nothing otherwise."""
     if getattr(args, "plot", None) is None:
         return
     base = getattr(args, "out", None) or args.command
-    path = str(Path(base).with_suffix(".svg"))
-    _write(path, svg_text)
+    _write(str(Path(base).with_suffix(".svg")), render(*data))
 
 
 def _parse_phis(spec: str):
@@ -81,7 +92,10 @@ def _parse_phis(spec: str):
 
 
 def _parse_ints(spec: str):
-    return tuple(int(tok) for tok in str(spec).split(","))
+    counts = tuple(int(tok) for tok in str(spec).split(","))
+    if min(counts) < 1:
+        raise ValueError(f"counts must be positive integers, got {spec}")
+    return counts
 
 
 def _parse_beta_range(spec: str):
@@ -96,7 +110,26 @@ def _parse_beta_range(spec: str):
         out.append(round(v, 12))
         i += 1
         v = start + i * step
+    if not out:
+        raise argparse.ArgumentTypeError(f"beta range {spec} has no points")
     return out
+
+
+def _positive_int(text: str) -> int:
+    (value,) = _parse_ints(text)
+    return value
+
+
+def _checked(parse):
+    """argparse type that validates its text with parse but stores the text
+    unchanged, so the config header records the argument as given."""
+    def check(text: str) -> str:
+        try:
+            parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
 
 
 def _solver_config(args, bc: str, beta: float, n_eigs: int) -> SolverConfig:
@@ -115,22 +148,16 @@ def _cmd_factors(args) -> int:
         _write_json(args.out, {"factors": {
             "g0": f.g0, "g1": f.g1, "g": f.g,
             "area": f.area, "polar_moment": f.polar_moment}}, args)
-    from .svg import domain_outline_svg
-    _maybe_plot(args, domain_outline_svg(profile))
+    _maybe_plot(args, domain_outline_svg, profile)
     return 0
 
 
 # ------------------------------------------------------------------------ disk
 
 def _cmd_disk(args) -> int:
-    from .disk import disk_eigenvalues
     spectrum = disk_eigenvalues(args.beta, args.n)
-    csv_text = _comment_header(args) + spectrum.to_csv()
-    print(csv_text, end="")
-    if args.out:
-        _write(args.out, csv_text)
-    from .svg import spectrum_steps_svg
-    _maybe_plot(args, spectrum_steps_svg(spectrum.eigenvalues, "disk spectrum"))
+    _emit_csv(args, spectrum.to_csv())
+    _maybe_plot(args, spectrum_steps_svg, spectrum.eigenvalues, "disk spectrum")
     return 0
 
 
@@ -140,12 +167,8 @@ def _cmd_solve(args) -> int:
     profile = load_profile(args.domain)
     cfg = _solver_config(args, args.bc, args.beta, args.n)
     spectrum = solve(profile, cfg)
-    csv_text = _comment_header(args) + spectrum.to_csv()
-    print(csv_text, end="")
-    if args.out:
-        _write(args.out, csv_text)
-    from .svg import spectrum_steps_svg
-    _maybe_plot(args, spectrum_steps_svg(spectrum.eigenvalues, "spectrum"))
+    _emit_csv(args, spectrum.to_csv())
+    _maybe_plot(args, spectrum_steps_svg, spectrum.eigenvalues, "spectrum")
     return 0
 
 
@@ -168,16 +191,13 @@ def _cmd_verify(args) -> int:
         _write_json(args.out, {"verdicts": [v.to_dict() for v in verdicts]}, args)
         _write(str(Path(args.out).with_suffix(".csv")),
                _comment_header(args) + verdicts_to_csv(verdicts))
-    from .svg import domain_outline_svg
-    _maybe_plot(args, domain_outline_svg(profile))
+    _maybe_plot(args, domain_outline_svg, profile)
     return 0 if all_hold else 1
 
 
 # ------------------------------------------------------------------ transplant
 
 def _cmd_transplant(args) -> int:
-    from .disk import disk_eigenvalues
-    from .transplant import transplant_identity
     profile = load_profile(args.domain)
     spectrum = disk_eigenvalues(args.beta, args.mode_index + 1)
     mode = spectrum.modes[args.mode_index]
@@ -195,8 +215,7 @@ def _cmd_transplant(args) -> int:
     print(json.dumps(payload, indent=1, sort_keys=True))
     if args.out:
         _write_json(args.out, {"transplant": payload}, args)
-    from .svg import domain_outline_svg
-    _maybe_plot(args, domain_outline_svg(profile))
+    _maybe_plot(args, domain_outline_svg, profile)
     return 0
 
 
@@ -218,28 +237,22 @@ def _cmd_perturb(args) -> int:
         q_rows = ["n,q_n"] + [f"{n},{q!r}" for n, q in sorted(report.q.items())]
         _write(str(Path(args.out).with_suffix(".csv")),
                _comment_header(args) + "\n".join(q_rows) + "\n")
-    from .svg import curve_svg
     eps, slopes = zip(*report.slopes_by_eps)
-    _maybe_plot(args, curve_svg(eps, slopes, "eps^2 slope"))
+    _maybe_plot(args, curve_svg, eps, slopes, "eps^2 slope")
     return 0
 
 
 # ----------------------------------------------------------------------- pauli
 
 def _cmd_pauli(args) -> int:
-    from .pauli import _grow_until_certified, pauli_spectrum
     profile = load_profile(args.domain)
     geo = factors(profile)
     magnetic, _ = _grow_until_certified(
         lambda count: solve(profile, _solver_config(args, DIRICHLET, args.beta, count)),
         args.n, start=args.n + max(2, args.n // 2))
     ps = pauli_spectrum(magnetic, args.n, g=geo.g)
-    csv_text = _comment_header(args) + ps.to_csv()
-    print(csv_text, end="")
-    if args.out:
-        _write(args.out, csv_text)
-    from .svg import spectrum_steps_svg
-    _maybe_plot(args, spectrum_steps_svg(ps.eigenvalues, "pauli spectrum"))
+    _emit_csv(args, ps.to_csv())
+    _maybe_plot(args, spectrum_steps_svg, ps.eigenvalues, "pauli spectrum")
     return 0
 
 
@@ -274,14 +287,9 @@ def _cmd_sweep(args) -> int:
         if args.track_mode:
             row += f",{mode}"
         lines.append(row)
-    csv_text = _comment_header(args) + "\n".join(lines) + "\n"
-    print(csv_text, end="")
-    if args.out:
-        _write(args.out, csv_text)
-    from .svg import curve_svg
-    _maybe_plot(args, curve_svg([r[0] for r in results],
-                                [r[1].eigenvalues[0] for r in results],
-                                "flux sweep"))
+    _emit_csv(args, "\n".join(lines) + "\n")
+    _maybe_plot(args, curve_svg, [r[0] for r in results],
+                [r[1].eigenvalues[0] for r in results], "flux sweep")
     return 0
 
 
@@ -314,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
         "disk", help="analytic disk spectrum",
         epilog="CSV columns: index,eigenvalue,lambda_times_A,bc,beta,provenance")
     p.add_argument("--beta", type=float, required=True, help="magnetic flux")
-    p.add_argument("--n", type=int, default=6, help="eigenvalue count")
+    p.add_argument("--n", type=_positive_int, default=6, help="eigenvalue count")
     p.add_argument("--out", help="write spectrum CSV here")
     p.add_argument("--plot", choices=["svg"])
     p.set_defaults(func=_cmd_disk)
@@ -325,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
-    p.add_argument("--n", type=int, default=6, help="eigenvalue count")
+    p.add_argument("--n", type=_positive_int, default=6, help="eigenvalue count")
     _add_mesh_flags(p)
     p.add_argument("--out", help="write spectrum CSV here")
     p.add_argument("--plot", choices=["svg"])
@@ -337,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
-    p.add_argument("--n", default="5", help="partial-sum lengths, e.g. 1,3,5")
-    p.add_argument("--phi", default="all",
+    p.add_argument("--n", type=_checked(_parse_ints), default="5",
+                   help="partial-sum lengths, e.g. 1,3,5")
+    p.add_argument("--phi", type=_checked(_parse_phis), default="all",
                    help='"all" or a list like identity,power:0.5,negexp:1')
     _add_mesh_flags(p)
     p.add_argument("--out", help="write verdicts JSON here (plus .csv summary)")
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                "shifted_normalized,beta,area,g")
     p.add_argument("--domain", required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--n", type=int, default=6, help="Pauli eigenvalue count")
+    p.add_argument("--n", type=_positive_int, default=6, help="Pauli eigenvalue count")
     _add_mesh_flags(p)
     p.add_argument("--out", help="write branch-labeled CSV here")
     p.add_argument("--plot", choices=["svg"])
@@ -380,9 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="flux sweep (exploratory)",
         epilog="CSV columns: beta,eigenvalue_1[,eigenvalue_2,...][,dominant_mode]")
     p.add_argument("--domain", required=True)
-    p.add_argument("--beta", required=True, help="range start:stop:step")
+    p.add_argument("--beta", type=_checked(_parse_beta_range), required=True,
+                   help="range start:stop:step")
     p.add_argument("--bc", choices=["dirichlet", "neumann"], default="neumann")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--track-mode", action="store_true",
                    help="record the dominant angular mode of the ground state")
     _add_mesh_flags(p, nr=48, nt=96)

@@ -14,10 +14,21 @@ eigenvalues are squared Bessel zeros.
 Flipping the flux sign flips the angular index: the spectrum for -beta
 equals the spectrum for +beta with m relabeled as -m, so all root finding
 happens at |beta| and labels are adjusted on output.
+
+Roots are bracketed with no scan step.  In x = lambda*pi the mode's Landau
+levels x_i = |beta|(2i + 1 + |m| - m) are where M(-i, |m|+1, z) is a
+Laguerre polynomial; Sturm oscillation and the interlacing of Laguerre
+zeros (DLMF 18.2(vi)) put at most one eigenvalue of a mode in each
+(x_i, x_{i+1}], so a sign change there is exactly one root.  Min-max against
+the Bessel operator puts the k-th one between pi j_{|m|,k}^2 - m|beta| and
+that plus beta^2/4pi.  Roots are taken in the order of these lower bounds,
+and the search stops once n are found and no bound lies below the n-th:
+the spectrum is complete by construction.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +41,6 @@ from .spectra import DIRICHLET, MagneticSpectrum
 
 __all__ = [
     "DiskMode",
-    "IncompleteSpectrumError",
     "disk_eigenvalues",
     "disk_radial_profile",
     "disk_radial_profile_deriv",
@@ -40,14 +50,6 @@ __all__ = [
 ]
 
 _ROOT_STEP_TOL = 1e-10
-
-
-class IncompleteSpectrumError(RuntimeError):
-    """Root scan hit its range limit before the requested count was certain."""
-
-    def __init__(self, message: str, modes_found):
-        super().__init__(message)
-        self.modes_found = modes_found
 
 
 @dataclass(frozen=True)
@@ -79,15 +81,6 @@ def _kummer_parameter(m_int: int, x: float, b0: float) -> float:
     return 0.5 * (1 + abs(m_int) - m_int) - x / (2.0 * b0)
 
 
-def _mode_function(m_int: int, b0: float, z: float):
-    b = abs(m_int) + 1.0
-
-    def g(x: float) -> float:
-        return kummer_m(_kummer_parameter(m_int, x, b0), b, z)
-
-    return g
-
-
 def _bisect(g, lo: float, hi: float, f_lo: float) -> float:
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -103,69 +96,78 @@ def _bisect(g, lo: float, hi: float, f_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _scan_roots(g, x_max: float, step: float):
-    roots = []
-    x, f_prev = 0.0, g(0.0)  # a(0) > 0, so M > 0 here
-    while x < x_max:
-        x_next = min(x + step, x_max)
-        f_next = g(x_next)
-        if f_next == 0.0:
-            roots.append(x_next)
-        elif f_prev * f_next < 0:
-            roots.append(_bisect(g, x, x_next, f_prev))
-        x, f_prev = x_next, f_next
-    return roots
+def _landau_point(m_int: int, i: int, b0: float) -> float:
+    # x = lambda*pi of the mode's i-th Landau level, where a = -i
+    return b0 * (2 * i + 1 + abs(m_int) - m_int)
 
 
-def _mode_roots(m_int: int, b0: float, z: float, x_max: float, step: float):
-    """All roots (in x = lambda*pi) of mode m_int up to x_max.
-
-    Consecutive roots of one mode are separated by at least the squared
-    Bessel-zero gaps (times pi) in the weak-field regime and by twice the
-    Landau spacing 2*b0 in the strong-field regime, both far above the
-    scan step; if a gap ever comes within 4 steps of the scan resolution,
-    rescan finer to rule out a straddled pair.
-    """
-    roots = _scan_roots(_mode_function(m_int, b0, z), x_max, step)
-    if any(b - a < 4.0 * step for a, b in zip(roots, roots[1:])):
-        roots = _scan_roots(_mode_function(m_int, b0, z), x_max, step / 8.0)
-    return roots
+def _opening_bound(m_int: int, b0: float) -> float:
+    # first root of a mode: a < 0 and j_{|m|,1} > |m|; nondecreasing in |m|
+    return max(math.pi * m_int * m_int - m_int * b0, _landau_point(m_int, 0, b0))
 
 
-def _collect_magnetic(b0: float, n: int):
-    """Modes (m_int, k, x_root) of the |beta| problem, n smallest by x."""
-    z = b0 / (2.0 * math.pi)
-    # Within one mode, consecutive roots are >= min(77, 2*b0) apart in
-    # x = lambda*pi (Bessel-gap floor, Landau spacing ceiling), so the
-    # flux-proportional step needs no refinement below b0 = 0.5.
-    step = 0.5 * min(1.0, max(b0, 0.5) / (4.0 * math.pi))
-    scan_limit = 1e4 * max(1.0, b0)
-    # the flux shifts each zero-field level by at most ~b0 in x = lambda*pi
-    x_max = math.pi * _zero_field_modes(n)[-1].eigenvalue + 2.0 * b0 + 10.0
+def _bessel_bracket(m_int: int, k: int, b0: float):
+    # min-max against the Bessel operator, j = j_{|m|,k}:
+    # pi j^2 - m b0 <= x_{m,k} <= pi j^2 - m b0 + b0^2/4pi, each side widened
+    # by 1e-13 of the terms' size to cover their float error (< 1e-15)
+    pj2 = math.pi * bessel_j_zero(abs(m_int), k) ** 2
+    shift = b0 * b0 / (4.0 * math.pi)
+    slack = 1e-13 * (pj2 + abs(m_int) * b0 + shift)
+    return pj2 - m_int * b0 - slack, pj2 - m_int * b0 + shift + slack
 
-    found = []  # (x, m_int, k)
+
+def _next_root(m_int: int, k: int, lo: float, b0: float, z: float, x_cap: float):
+    """Root k of mode m_int above lo, with k - 1 roots of the mode below lo,
+    so M has the sign (-1)^(k-1) there (Sturm).  Returns (x, hi), hi between
+    roots k and k + 1; x is None when root k > x_cap."""
+    def g(x: float) -> float:
+        return kummer_m(_kummer_parameter(m_int, x, b0), abs(m_int) + 1.0, z)
+
+    f_lo = (-1.0) ** (k - 1)
+    # below root k + 1, and above root k when the Bessel brackets are apart
+    ceiling = min(_bessel_bracket(m_int, k, b0)[1], _bessel_bracket(m_int, k + 1, b0)[0])
     while True:
-        if x_max > scan_limit:
-            raise IncompleteSpectrumError(
-                f"root scan frontier {x_max:.3g} exceeds limit {scan_limit:.3g} "
-                f"for beta={b0}, n={n}",
-                modes_found=[(m, k, x / math.pi) for x, m, k in found])
-        found = []
-        for sign in (+1, -1):
-            m = 0 if sign > 0 else 1
-            empty_levels = 0
-            while empty_levels < 2:
-                roots = _mode_roots(sign * m, b0, z, x_max, step)
-                if roots:
-                    empty_levels = 0
-                    found.extend((x, sign * m, k + 1) for k, x in enumerate(roots))
-                else:
-                    empty_levels += 1
-                m += 1
-        found.sort(key=lambda t: (t[0], t[1], t[2]))
-        if len(found) >= n and found[n - 1][0] <= x_max - step:
-            return found[:n], z
-        x_max *= 1.6
+        if ceiling > lo:
+            hi = ceiling
+        else:  # the next Landau level: (lo, hi] then holds at most root k
+            i = math.floor(-_kummer_parameter(m_int, lo, b0)) + 1
+            while (hi := _landau_point(m_int, i, b0)) <= lo:
+                i += 1
+        hi = min(hi, x_cap)
+        f_hi = g(hi)
+        if f_lo * f_hi <= 0:
+            return _bisect(g, lo, hi, f_lo), hi
+        if hi == x_cap:
+            return None, hi
+        lo = hi
+
+
+def _collect_magnetic(b0: float, z: float, n: int):
+    """Modes (x_root, m_int, k) of the |beta| problem, n smallest by x."""
+    # (lower bound on x, m_int, k); k = 0 marks the next mode of its sign
+    # that is not opened yet
+    heap = [(_opening_bound(m, b0), m, 0) for m in (0, -1)]
+    found = []  # (x, m_int, k)
+    x_cap = math.inf  # the n-th root once n are found
+    while heap[0][0] <= x_cap:
+        bound, m_int, k = heapq.heappop(heap)
+        if k == 0:
+            nxt = m_int + 1 if m_int >= 0 else m_int - 1
+            heapq.heappush(heap, (_opening_bound(nxt, b0), nxt, 0))
+            lower = max(_bessel_bracket(m_int, 1, b0)[0], _landau_point(m_int, 0, b0))
+            heapq.heappush(heap, (lower, m_int, 1))
+            continue
+        x, hi = _next_root(m_int, k, bound, b0, z, x_cap)
+        if x is None:
+            continue  # this root, and every later one of the mode, is > x_cap
+        found.append((x, m_int, k))
+        lower = max(_bessel_bracket(m_int, k + 1, b0)[0], hi)
+        heapq.heappush(heap, (lower, m_int, k + 1))
+        if len(found) >= n:
+            found.sort()
+            del found[n:]
+            x_cap = found[-1][0]
+    return found
 
 
 def _check_root(m_int: int, k: int, x: float, b0: float, z: float) -> None:
@@ -200,9 +202,9 @@ def disk_eigenvalues(beta: float, n: int) -> MagneticSpectrum:
         modes = _zero_field_modes(n)
     else:
         b0 = abs(beta)
-        raw, z = _collect_magnetic(b0, n)
+        z = b0 / (2.0 * math.pi)
         modes = []
-        for x, m_int, k in raw:
+        for x, m_int, k in _collect_magnetic(b0, z, n):
             _check_root(m_int, k, x, b0, z)
             m_label = m_int if beta > 0 else -m_int
             modes.append(DiskMode(m=m_label, k=k, eigenvalue=x / math.pi,
@@ -215,30 +217,17 @@ def disk_eigenvalues(beta: float, n: int) -> MagneticSpectrum:
 
 
 def _zero_field_modes(n: int):
-    """Bessel branch: lambda_{m,k} = j_{|m|,k}^2, each |m| >= 1 doubled."""
+    """Bessel branch: lambda_{m,k} = j_{|m|,k}^2, each |m| >= 1 doubled, taken
+    smallest first (j_{m,k} grows with m and with k)."""
+    heap = [(bessel_j_zero(0, 1) ** 2, 0, 1)]
     entries = []
-    x_max = bessel_j_zero(0, n) ** 2  # n m=0 modes always suffice
-
-    def add_upto(limit):
-        entries.clear()
-        m = 0
-        while True:
-            j1 = bessel_j_zero(m, 1) ** 2
-            if j1 > limit:
-                break
-            k = 1
-            while (lam := bessel_j_zero(m, k) ** 2) <= limit:
-                entries.append((lam, m, k))
-                if m > 0:
-                    entries.append((lam, -m, k))
-                k += 1
-            m += 1
-
-    add_upto(x_max)
     while len(entries) < n:
-        x_max *= 1.5
-        add_upto(x_max)
-    entries.sort(key=lambda t: (t[0], t[1], t[2]))
+        lam, m, k = heapq.heappop(heap)
+        entries += [(lam, m, k), (lam, -m, k)] if m > 0 else [(lam, m, k)]
+        heapq.heappush(heap, (bessel_j_zero(m, k + 1) ** 2, m, k + 1))
+        if k == 1:
+            heapq.heappush(heap, (bessel_j_zero(m + 1, 1) ** 2, m + 1, 1))
+    entries.sort()
     return [DiskMode(m=m, k=k, eigenvalue=lam, beta=0.0,
                      a=float("nan"), b=abs(m) + 1.0, z=0.0)
             for lam, m, k in entries[:n]]

@@ -132,6 +132,32 @@ class TestVerify:
         assert "negexp(1)" in out
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--beta", "5", "--n", "abc"],
+        ["verify", "--beta", "5", "--n", "0"],
+        ["verify", "--beta", "5", "--n", "1,0"],
+        ["verify", "--beta", "5", "--phi", "bogus"],
+        ["disk", "--beta", "5", "--n", "0"],
+        ["solve", "--beta", "5", "--n", "0"],
+        ["pauli", "--beta", "5", "--n", "0"],
+        ["sweep", "--beta", "2:6:2", "--n", "0"],
+    ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
+    def test_bad_argument_is_usage_error(self, capsys, disk_json, argv):
+        if argv[0] != "disk":
+            argv = argv + ["--domain", disk_json]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_empty_beta_range_is_usage_error(self, capsys, disk_json):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "--domain", disk_json, "--beta", "2:1:0.5"])
+        assert info.value.code == 2
+        assert "has no points" in capsys.readouterr().err
+
+
 class TestTransplantAndPerturb:
     def test_transplant_json(self, capsys, ellipse_json, tmp_path):
         out_path = tmp_path / "t.json"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from magspec import disk
 from magspec.disk import (_check_root, angular_energy_fraction, disk_eigenvalues,
                           disk_radial_profile, disk_radial_profile_deriv,
                           normalization_constant, rayleigh_energy)
@@ -29,6 +30,12 @@ class TestZeroField:
         # ties broken by (eigenvalue, m, k)
         for a, b in zip(spec.modes, spec.modes[1:]):
             assert (a.eigenvalue, a.m, a.k) <= (b.eigenvalue, b.m, b.k)
+
+
+    def test_zero_field_takes_few_bessel_zeros(self):
+        bessel_j_zero.cache_clear()
+        disk_eigenvalues.__wrapped__(0.0, 40)  # bypass the cache
+        assert bessel_j_zero.cache_info().currsize <= 80
 
 
 class TestMagneticSpectrum:
@@ -89,6 +96,29 @@ class TestRootCheck:
             _check_root(md.internal_m, md.k, x, beta, z)
             with pytest.raises(RuntimeError, match="root residual"):
                 _check_root(md.internal_m, md.k, x * (1 + 1e-9), beta, z)
+
+
+class TestLandauBrackets:
+    # 1e-20: Landau intervals far below the float spacing of x
+    @pytest.mark.parametrize("beta, n", [(0.5, 8), (5.0, 40), (1e-6, 5), (1e-20, 5)])
+    def test_kummer_call_budget(self, monkeypatch, beta, n):
+        calls = []
+        monkeypatch.setattr(disk, "kummer_m",
+                            lambda *args: calls.append(args) or kummer_m(*args))
+        spec = disk_eigenvalues.__wrapped__(beta, n)  # bypass the cache
+        assert len(spec.modes) == n
+        assert len(calls) <= 100 * n
+
+    @pytest.mark.parametrize("beta", [0.5, 5.0, 37.0, 150.0, 300.0])
+    def test_roots_within_certified_brackets(self, beta):
+        for md in disk_eigenvalues(beta, 12).modes:
+            m, k, lam = md.internal_m, md.k, md.eigenvalue
+            lower = bessel_j_zero(abs(m), k) ** 2 - m * beta / math.pi
+            assert lower <= lam <= lower + beta**2 / (4 * math.pi**2)
+            # strictly above the Landau level below it; at beta = 300 three
+            # roots lie within an ulp of x = 300 and round onto it
+            landau = beta / math.pi * (2 * k - 1 + abs(m) - m)
+            assert lam > landau or (beta == 300.0 and lam == landau)
 
 
 class TestRadialProfile:

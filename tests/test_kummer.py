@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -171,3 +174,19 @@ class TestBessel:
             bessel_j(0, -1.0)
         with pytest.raises(ValueError):
             bessel_j_zero(0, 0)
+
+
+def test_package_import_leaves_heavy_modules_unloaded():
+    # scipy.special (~70 ms) is imported on first use, scipy.optimize and
+    # mpmath not at all
+    import magspec
+    src = os.path.dirname(os.path.dirname(os.path.abspath(magspec.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, magspec; print(sorted(m for m in sys.modules if m in "
+         "('scipy.special', 'scipy.optimize', 'mpmath')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
