@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -132,6 +133,33 @@ def _checked(parse):
     return check
 
 
+def _config_value(name: str, kind):
+    """argparse type that parses with kind and checks the value against
+    SolverConfig's own limit for the field name."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            SolverConfig(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return parse
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
+def _parse_eps(spec: str):
+    eps = tuple(float(tok) for tok in spec.split(","))
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError(f"eps values must be positive and finite, got {spec}")
+    return eps
+
+
 def _solver_config(args, bc: str, beta: float, n_eigs: int) -> SolverConfig:
     return SolverConfig(n_radial=args.nr, n_angular=args.nt, bc=bc,
                         beta=beta, n_eigs=n_eigs, tolerance=args.tol)
@@ -224,7 +252,7 @@ def _cmd_transplant(args) -> int:
 def _cmd_perturb(args) -> int:
     with open(args.profile, "r", encoding="utf-8") as fh:
         pprofile = PerturbationProfile.from_dict(json.load(fh))
-    eps_list = tuple(float(t) for t in args.eps.split(","))
+    eps_list = _parse_eps(args.eps)
     cfg = SolverConfig(n_radial=args.nr, n_angular=args.nt, beta=abs(args.beta),
                        n_eigs=1, tolerance=args.tol)
     report = slope_validation(args.beta, pprofile, eps_list, cfg)
@@ -296,10 +324,12 @@ def _cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------- main
 
 def _add_mesh_flags(sub, nr=64, nt=128):
-    sub.add_argument("--nr", type=int, default=nr, help="radial cells")
-    sub.add_argument("--nt", type=int, default=nt, help="angular cells")
-    sub.add_argument("--tol", type=float, default=1e-8,
-                     help="eigenpair residual tolerance")
+    sub.add_argument("--nr", type=_config_value("n_radial", int), default=nr,
+                     help="radial cells (>= 8)")
+    sub.add_argument("--nt", type=_config_value("n_angular", int), default=nt,
+                     help="angular cells (even, >= 16)")
+    sub.add_argument("--tol", type=_config_value("tolerance", float), default=1e-8,
+                     help="eigenpair residual tolerance, in (0, 1e-6]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -357,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("transplant", help="transplantation identity report")
     p.add_argument("--domain", required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--mode-index", type=int, default=0,
+    p.add_argument("--mode-index", type=_nonnegative_int, default=0,
                    help="disk mode index (0 = ground state)")
     p.add_argument("--out", help="write report JSON here")
     p.add_argument("--plot", choices=["svg"])
@@ -367,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True,
                    help='perturbation JSON, e.g. {"p": {"2": [0.5, 0.0]}}')
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--eps", default="0.04,0.02,0.01", help="eps schedule")
+    p.add_argument("--eps", type=_checked(_parse_eps), default="0.04,0.02,0.01",
+                   help="eps schedule, positive values")
     _add_mesh_flags(p, nr=96, nt=192)
     p.add_argument("--out", help="write report JSON here (plus .csv of q_n)")
     p.add_argument("--plot", choices=["svg"])

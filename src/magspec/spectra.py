@@ -28,8 +28,9 @@ class MagneticSpectrum:
     normalized holds the dilation-invariant products eigenvalue * area.
     provenance is "analytic" for Kummer/Bessel root values or
     "discrete(<nr>x<nt>)" for variational solves.  Discrete spectra may
-    carry eigenvectors and the mesh layout for diagnostics; analytic ones
-    carry the per-mode labels instead.
+    carry eigenvectors and the mesh layout for diagnostics, and a
+    solver.SolveStats record in stats; analytic ones carry the per-mode
+    labels instead.  None of these enter to_csv.
     """
 
     eigenvalues: tuple
@@ -41,6 +42,7 @@ class MagneticSpectrum:
     error_bars: Optional[tuple] = None
     eigenvectors: object = field(default=None, repr=False)
     mesh: object = field(default=None, repr=False)
+    stats: object = field(default=None, repr=False)
 
     def __post_init__(self):
         self.bc = validate_bc(self.bc)

@@ -142,9 +142,19 @@ class TestUsageErrors:
         ["solve", "--beta", "5", "--n", "0"],
         ["pauli", "--beta", "5", "--n", "0"],
         ["sweep", "--beta", "2:6:2", "--n", "0"],
+        ["transplant", "--beta", "5", "--mode-index", "-1"],
+        ["solve", "--beta", "5", "--nr", "0"],
+        ["verify", "--beta", "5", "--nt", "0"],
+        ["solve", "--beta", "5", "--nt", "17"],
+        ["solve", "--beta", "5", "--tol", "1e-3"],
+        ["perturb", "--beta", "5", "--eps", "abc"],
+        ["perturb", "--beta", "5", "--eps", "0.04,-0.01"],
     ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
     def test_bad_argument_is_usage_error(self, capsys, disk_json, argv):
-        if argv[0] != "disk":
+        # The input file is never read: parsing stops at the bad argument.
+        if argv[0] == "perturb":
+            argv = argv + ["--profile", disk_json]
+        elif argv[0] != "disk":
             argv = argv + ["--domain", disk_json]
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from magspec.corpus import corpus_entry
 from magspec.disk import disk_eigenvalues
 from magspec.geometry import RadiusProfile
 from magspec.kummer import bessel_j_zero
-from magspec.solver import (SolverConfig, _assemble, convergence_study,
-                            observed_orders, solve)
+from magspec.solver import (_EIG_SEED, SolverConfig, _assemble, _dof_selection,
+                            convergence_study, observed_orders, solve,
+                            solve_with_error_bars)
 from magspec.spectra import MagneticSpectrum
 
 DISK = RadiusProfile(1.0)
@@ -146,3 +149,50 @@ class TestEigenvectors:
         from magspec.solver import dominant_angular_mode
         spec = solve(DISK, coarse(beta=1.0, n_eigs=1, nr=16, nt=32))
         assert dominant_angular_mode(spec) == 0
+
+
+class TestShiftInvertFactorization:
+    """The solver factors K - sigma M itself, in a symmetric fill-reducing
+    order, and hands the solves to eigsh."""
+
+    FLOWER = corpus_entry("flower_5").profile
+
+    @pytest.mark.parametrize("nr, nt, ceiling", [(64, 128, 0.6e6), (96, 192, 1.4e6)])
+    def test_lu_fill_is_symmetric_ordering(self, nr, nt, ceiling):
+        # COLAMD, the column ordering eigsh uses on its own, stores 1.03M
+        # and 2.70M entries on these meshes.
+        cfg = SolverConfig(n_radial=nr, n_angular=nt, beta=5.0, n_eigs=1)
+        assert solve(self.FLOWER, cfg).stats.lu_fill <= ceiling
+
+    @pytest.mark.parametrize("bc, beta", [("dirichlet", 0.0), ("dirichlet", 5.0),
+                                          ("neumann", 5.0)])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_agrees_with_eigsh_own_factorization(self, bc, beta, k):
+        cfg = SolverConfig(n_radial=32, n_angular=64, bc=bc, beta=beta, n_eigs=k)
+        spec = solve(self.FLOWER, cfg)
+        stiff, mass, area = _assemble(self.FLOWER, beta, 32, 64)
+        keep = _dof_selection(bc, 32, 64)
+        stiff = stiff[keep][:, keep]
+        mass = mass[keep][:, keep]
+        stiff = (stiff + stiff.conjugate().transpose()) * 0.5
+        mass = (mass + mass.transpose()) * 0.5
+        sigma = -(0.5 * beta + 0.1) / area if bc == "neumann" else 0.0
+        rng = np.random.default_rng(_EIG_SEED)
+        v0 = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+        ref = np.sort(spla.eigsh(stiff, k=k, M=mass, sigma=sigma,
+                                 v0=v0, tol=0, return_eigenvectors=False))
+        np.testing.assert_allclose(spec.eigenvalues, ref, rtol=1e-10, atol=0)
+
+    def test_record_repeats_and_rides_along(self):
+        cfg = SolverConfig(n_radial=24, n_angular=48, bc="neumann", beta=5.0, n_eigs=4)
+        first, second = solve(self.FLOWER, cfg), solve(self.FLOWER, cfg)
+        assert first.stats == second.stats
+        assert first.stats.lu_fill > 1 + 24 * 48
+        assert first.eigenvalues == second.eigenvalues
+        assert solve_with_error_bars(self.FLOWER, cfg).stats == first.stats
+
+    def test_record_stays_out_of_outputs(self):
+        spec = solve(DISK, coarse(beta=5.0, n_eigs=2))
+        assert spec.stats.lu_fill > 0
+        assert "stats" not in repr(spec)
+        assert MagneticSpectrum.from_csv(spec.to_csv()).stats is None
