@@ -104,6 +104,8 @@ def _parse_beta_range(spec: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("beta range must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise argparse.ArgumentTypeError(f"beta range {spec} must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("beta step must be positive")
     out, v, i = [], start, 0
@@ -297,12 +299,8 @@ def _cmd_sweep(args) -> int:
         mode = dominant_angular_mode(spectrum) if args.track_mode else None
         return beta, spectrum, mode
 
-    if workers == 1:
-        results = [point(b) for b in betas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(point, betas))
-    results.sort(key=lambda t: t[0])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        results = list(pool.map(point, betas))
 
     header = "beta,eigenvalue_1"
     if args.n > 1:
@@ -351,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "disk", help="analytic disk spectrum",
         epilog="CSV columns: index,eigenvalue,lambda_times_A,bc,beta,provenance")
-    p.add_argument("--beta", type=float, required=True, help="magnetic flux")
+    p.add_argument("--beta", type=_config_value("beta", float), required=True,
+                   help="magnetic flux")
     p.add_argument("--n", type=_positive_int, default=6, help="eigenvalue count")
     p.add_argument("--out", help="write spectrum CSV here")
     p.add_argument("--plot", choices=["svg"])
@@ -361,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "solve", help="discrete spectrum of a starlike domain",
         epilog="CSV columns: index,eigenvalue,lambda_times_A,bc,beta,provenance")
     p.add_argument("--domain", required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_config_value("beta", float), required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
     p.add_argument("--n", type=_positive_int, default=6, help="eigenvalue count")
     _add_mesh_flags(p)
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify", help="disk-maximality bound verdicts (exit 1 if any bound fails)",
         epilog="CSV columns: functional,n,lhs,rhs,margin,error_bar,holds,bc,beta")
     p.add_argument("--domain", required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_config_value("beta", float), required=True)
     p.add_argument("--bc", choices=["dirichlet", "neumann"], default="dirichlet")
     p.add_argument("--n", type=_checked(_parse_ints), default="5",
                    help="partial-sum lengths, e.g. 1,3,5")
@@ -386,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("transplant", help="transplantation identity report")
     p.add_argument("--domain", required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_config_value("beta", float), required=True)
     p.add_argument("--mode-index", type=_nonnegative_int, default=0,
                    help="disk mode index (0 = ground state)")
     p.add_argument("--out", help="write report JSON here")
@@ -396,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("perturb", help="perturbation series vs solver slopes")
     p.add_argument("--profile", required=True,
                    help='perturbation JSON, e.g. {"p": {"2": [0.5, 0.0]}}')
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_config_value("beta", float), required=True)
     p.add_argument("--eps", type=_checked(_parse_eps), default="0.04,0.02,0.01",
                    help="eps schedule, positive values")
     _add_mesh_flags(p, nr=96, nt=192)
@@ -409,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="CSV columns: index,eigenvalue,branch,source_index,"
                "shifted_normalized,beta,area,g")
     p.add_argument("--domain", required=True)
-    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--beta", type=_config_value("beta", float), required=True)
     p.add_argument("--n", type=_positive_int, default=6, help="Pauli eigenvalue count")
     _add_mesh_flags(p)
     p.add_argument("--out", help="write branch-labeled CSV here")

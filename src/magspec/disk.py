@@ -24,6 +24,10 @@ the Bessel operator puts the k-th one between pi j_{|m|,k}^2 - m|beta| and
 that plus beta^2/4pi.  Roots are taken in the order of these lower bounds,
 and the search stops once n are found and no bound lies below the n-th:
 the spectrum is complete by construction.
+
+Every radial factor comes from kummer_radial_factor, which takes the Kummer
+parameters directly and gives f, and f' on request, from one M and one M'
+evaluation per radius.
 """
 
 from __future__ import annotations
@@ -42,8 +46,10 @@ from .spectra import DIRICHLET, MagneticSpectrum
 __all__ = [
     "DiskMode",
     "disk_eigenvalues",
+    "disk_radial_factors",
     "disk_radial_profile",
     "disk_radial_profile_deriv",
+    "kummer_radial_factor",
     "normalization_constant",
     "angular_energy_fraction",
     "rayleigh_energy",
@@ -198,6 +204,8 @@ def disk_eigenvalues(beta: float, n: int) -> MagneticSpectrum:
     if n < 1:
         raise ValueError(f"need n >= 1 eigenvalues, got {n}")
     beta = float(beta)
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     if beta == 0.0:
         modes = _zero_field_modes(n)
     else:
@@ -237,43 +245,53 @@ def _zero_field_modes(n: int):
 # Radial profiles and their energies.
 
 
-def disk_radial_profile(mode: DiskMode, s_grid) -> np.ndarray:
-    """f_m(s, lambda*pi) on the given radii in (0, 1]; unnormalized."""
+def kummer_radial_factor(a: float, b: float, b0: float, s, deriv: bool = False):
+    """Magnetic radial factor with its Kummer parameters given directly.
+
+    f(s) = (s^2/pi)^{(b-1)/2} exp(-b0 s^2/4pi) M(a, b, b0 s^2/2pi) on radii
+    s > 0, from one M evaluation per radius.  Returns (f, f'); f' is
+    None unless deriv, and then costs one M' evaluation per radius more.
+    """
+    s = np.asarray(s, dtype=float)
+    order = b - 1.0
+    z_of_s = b0 * s * s / (2.0 * math.pi)
+    pref = (s * s / math.pi) ** (order / 2.0) * np.exp(-b0 * s * s / (4.0 * math.pi))
+    m_vals = np.array([kummer_m(a, b, zi) for zi in z_of_s.ravel()]).reshape(s.shape)
+    if not deriv:
+        return pref * m_vals, None
+    mp_vals = np.array([kummer_m_dz(a, b, zi) for zi in z_of_s.ravel()]
+                       ).reshape(s.shape)
+    return pref * m_vals, pref * ((order / s - b0 * s / (2.0 * math.pi)) * m_vals
+                                  + (b0 * s / math.pi) * mp_vals)
+
+
+def disk_radial_factors(mode: DiskMode, s_grid) -> tuple[np.ndarray, np.ndarray]:
+    """(f, f') of the mode's radial factor on radii in (0, 1]; unnormalized,
+    f' analytic.  At beta != 0 this is one M and one M' evaluation per radius."""
     s = np.asarray(s_grid, dtype=float)
     if mode.beta == 0.0:
-        from scipy.special import jv  # on first use, as in kummer
-        return jv(abs(mode.m), math.sqrt(mode.eigenvalue) * s)
-    b0 = abs(mode.beta)
-    am = abs(mode.m)
-    pref = (s * s / math.pi) ** (am / 2.0) * np.exp(-b0 * s * s / (4.0 * math.pi))
-    vals = np.array([kummer_m(mode.a, mode.b, b0 * si * si / (2.0 * math.pi))
-                     for si in s.ravel()]).reshape(s.shape)
-    return pref * vals
+        from scipy.special import jv, jvp  # on first use, as in kummer
+        root = math.sqrt(mode.eigenvalue)
+        return jv(abs(mode.m), root * s), root * jvp(abs(mode.m), root * s)
+    return kummer_radial_factor(mode.a, mode.b, abs(mode.beta), s, deriv=True)
+
+
+def disk_radial_profile(mode: DiskMode, s_grid) -> np.ndarray:
+    """f_m(s, lambda*pi) on the given radii in (0, 1]; unnormalized."""
+    if mode.beta == 0.0:
+        return disk_radial_factors(mode, s_grid)[0]
+    return kummer_radial_factor(mode.a, mode.b, abs(mode.beta), s_grid)[0]
 
 
 def disk_radial_profile_deriv(mode: DiskMode, s_grid) -> np.ndarray:
-    """d/ds of the radial factor, evaluated analytically (s > 0)."""
-    s = np.asarray(s_grid, dtype=float)
-    if mode.beta == 0.0:
-        from scipy.special import jvp
-        root = math.sqrt(mode.eigenvalue)
-        return root * jvp(abs(mode.m), root * s)
-    b0 = abs(mode.beta)
-    am = abs(mode.m)
-    z_of_s = b0 * s * s / (2.0 * math.pi)
-    pref = (s * s / math.pi) ** (am / 2.0) * np.exp(-b0 * s * s / (4.0 * math.pi))
-    m_vals = np.array([kummer_m(mode.a, mode.b, zi) for zi in z_of_s.ravel()]
-                      ).reshape(s.shape)
-    mp_vals = np.array([kummer_m_dz(mode.a, mode.b, zi) for zi in z_of_s.ravel()]
-                       ).reshape(s.shape)
-    return pref * ((am / s - b0 * s / (2.0 * math.pi)) * m_vals
-                   + (b0 * s / math.pi) * mp_vals)
+    """d/ds of the radial factor (s > 0): the f' of disk_radial_factors."""
+    return disk_radial_factors(mode, s_grid)[1]
 
 
-def normalization_constant(mode: DiskMode, rel_tol: float = 1e-10) -> float:
-    """c such that 2*pi*int_0^1 (c f)^2 s ds = 1."""
+def normalization_constant(mode: DiskMode) -> float:
+    """c such that 2*pi*int_0^1 (c f)^2 s ds = 1, to a relative 1e-10."""
     norm_sq = 2.0 * math.pi * adaptive_integral(
-        lambda s: disk_radial_profile(mode, s) ** 2 * s, rel_tol=rel_tol)
+        lambda s: disk_radial_profile(mode, s) ** 2 * s, rel_tol=1e-10)
     return 1.0 / math.sqrt(norm_sq)
 
 
@@ -283,7 +301,7 @@ def _angular_coefficient(mode: DiskMode, s: np.ndarray) -> np.ndarray:
     return b0 * s / (2.0 * math.pi) - mode.internal_m / s
 
 
-def angular_energy_fraction(mode: DiskMode, rel_tol: float = 1e-8) -> float:
+def angular_energy_fraction(mode: DiskMode) -> float:
     """Fraction of the mode's magnetic energy carried by the angular term.
 
     alpha = int ((beta/2pi)s - m/s)^2 f^2 s ds  /
@@ -300,15 +318,15 @@ def angular_energy_fraction(mode: DiskMode, rel_tol: float = 1e-8) -> float:
     def rad(s):
         return disk_radial_profile_deriv(mode, s) ** 2 * s
 
-    num = adaptive_integral(ang, rel_tol=rel_tol)
-    den = num + adaptive_integral(rad, rel_tol=rel_tol)
+    num = adaptive_integral(ang, rel_tol=1e-8)
+    den = num + adaptive_integral(rad, rel_tol=1e-8)
     alpha = num / den
     if not -1e-12 <= alpha <= 1 + 1e-12:
         raise RuntimeError(f"angular energy fraction {alpha} outside [0, 1]")
     return min(max(alpha, 0.0), 1.0)
 
 
-def rayleigh_energy(mode: DiskMode, rel_tol: float = 1e-9) -> float:
+def rayleigh_energy(mode: DiskMode) -> float:
     """Magnetic energy of the normalized mode; equals its eigenvalue.
 
     Serves as an independent consistency check of the radial profile, its
@@ -316,12 +334,11 @@ def rayleigh_energy(mode: DiskMode, rel_tol: float = 1e-9) -> float:
     """
 
     def dens(s):
-        f = disk_radial_profile(mode, s)
-        fp = disk_radial_profile_deriv(mode, s)
+        f, fp = disk_radial_factors(mode, s)
         return (fp**2 + (_angular_coefficient(mode, s) * f) ** 2) * s
 
     def mass(s):
         return disk_radial_profile(mode, s) ** 2 * s
 
-    return adaptive_integral(dens, rel_tol=rel_tol) / adaptive_integral(
-        mass, rel_tol=rel_tol)
+    return adaptive_integral(dens, rel_tol=1e-9) / adaptive_integral(
+        mass, rel_tol=1e-9)

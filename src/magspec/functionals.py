@@ -11,13 +11,13 @@ margin is no worse than the propagated discretization error bar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 from . import disk as disk_mod
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig, solve_with_error_bars
-from .spectra import DIRICHLET, NEUMANN, MagneticSpectrum, validate_bc
+from .spectra import DIRICHLET, NEUMANN, MagneticSpectrum, csv_rows, validate_bc
 
 __all__ = [
     "PhiFamily",
@@ -128,10 +128,7 @@ class BoundVerdict:
     beta: float = 0.0
 
     def to_dict(self) -> dict:
-        return {"functional": self.functional, "n": self.n, "lhs": self.lhs,
-                "rhs": self.rhs, "margin": self.margin,
-                "error_bar": self.error_bar, "holds": self.holds,
-                "bc": self.bc, "beta": self.beta}
+        return asdict(self)
 
 
 VERDICT_CSV_HEADER = "functional,n,lhs,rhs,margin,error_bar,holds,bc,beta"
@@ -145,17 +142,11 @@ def verdicts_to_csv(verdicts) -> str:
 
 
 def verdicts_from_csv(text: str) -> list:
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if rows[0] != VERDICT_CSV_HEADER:
-        raise ValueError("unrecognized verdict CSV header")
-    out = []
-    for ln in rows[1:]:
-        func, n, lhs, rhs, margin, bar, holds, bc, beta = ln.split(",")
-        out.append(BoundVerdict(
-            functional=func, n=int(n), lhs=float(lhs), rhs=float(rhs),
-            margin=float(margin), error_bar=float(bar),
-            holds=holds == "True", bc=bc, beta=float(beta)))
-    return out
+    return [BoundVerdict(functional=func, n=int(n), lhs=float(lhs), rhs=float(rhs),
+                         margin=float(margin), error_bar=float(bar),
+                         holds=holds == "True", bc=bc, beta=float(beta))
+            for func, n, lhs, rhs, margin, bar, holds, bc, beta
+            in csv_rows(text, VERDICT_CSV_HEADER)]
 
 
 def phi_sum_values(values: Sequence[float], phi: PhiFamily, n: int) -> float:

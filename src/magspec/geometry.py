@@ -222,17 +222,14 @@ def factors(profile: RadiusProfile, n_theta: int = DEFAULT_N_THETA) -> Geometric
 
 @dataclass(frozen=True, eq=False)
 class AngularMap:
-    """Cumulative angle map phi(theta) of the constant-Jacobian transformation.
+    """Angle map phi(theta) of the constant-Jacobian transformation.
 
-    phi' = R(theta)^2 * pi / area, phi(0) = 0, and phi(2pi) = 2pi because
-    the normalizing area comes from the same quadrature.  theta_grid holds
-    n_theta + 1 nodes including both endpoints; phi_values the matching
-    samples.  phi_at evaluates the map anywhere from the exact Fourier
-    antiderivative of R^2.
+    phi' = R(theta)^2 * pi / area with phi(0) = 0 and phi(2pi) = 2pi.  The
+    map is held in one form, the Fourier coefficients (d0, da, db) of R^2
+    from RadiusProfile.squared_fourier, so phi_at and phi_deriv_at are the
+    exact antiderivative and integrand (area = pi * d0).
     """
 
-    theta_grid: np.ndarray
-    phi_values: np.ndarray
     _d0: float
     _da: np.ndarray
     _db: np.ndarray
@@ -259,17 +256,9 @@ class AngularMap:
         return out if theta.ndim else float(out)
 
 
-def angular_map(profile: RadiusProfile, n_theta: int = DEFAULT_N_THETA) -> AngularMap:
-    """Integrate phi' = R^2 pi/A cumulatively on a uniform grid."""
-    h = 2 * np.pi / n_theta
-    theta = np.arange(n_theta + 1) * h
-    r2 = profile.radius(theta) ** 2
-    # closed-circle trapezoid: endpoints coincide, so it is the uniform sum
-    area = 0.5 * h * float(np.sum(r2[:-1]))
-    w = r2 * (np.pi / area)
-    phi = np.concatenate(([0.0], np.cumsum(0.5 * h * (w[:-1] + w[1:]))))
-    d0, da, db = profile.squared_fourier()
-    return AngularMap(theta_grid=theta, phi_values=phi, _d0=d0, _da=da, _db=db)
+def angular_map(profile: RadiusProfile) -> AngularMap:
+    """The constant-Jacobian angle map of the profile."""
+    return AngularMap(*profile.squared_fourier())
 
 
 def perturbation_factor_expansion(profile: "PerturbationProfile",

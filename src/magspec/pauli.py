@@ -21,7 +21,7 @@ from . import disk as disk_mod
 from .functionals import PhiFamily, _verdicts, domain_and_disk_spectra
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig
-from .spectra import DIRICHLET, MagneticSpectrum
+from .spectra import DIRICHLET, MagneticSpectrum, csv_rows
 
 __all__ = [
     "PauliSpectrum",
@@ -82,12 +82,8 @@ class PauliSpectrum:
 
     @classmethod
     def from_csv(cls, text: str) -> "PauliSpectrum":
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if rows[0] != PAULI_CSV_HEADER:
-            raise ValueError("unrecognized Pauli CSV header")
         entries, betas, areas, gs = [], set(), set(), set()
-        for ln in rows[1:]:
-            _, val, branch, src, _, beta, area, g = ln.split(",")
+        for _, val, branch, src, _, beta, area, g in csv_rows(text, PAULI_CSV_HEADER):
             entries.append((float(val), branch, int(src)))
             betas.add(float(beta))
             areas.add(float(area))

@@ -32,7 +32,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .disk import disk_eigenvalues
+from .disk import disk_eigenvalues, kummer_radial_factor
 from .geometry import RadiusProfile, factors
 from .kummer import kummer_m, kummer_m_da, kummer_m_dz
 from .solver import SolverConfig, solve
@@ -166,15 +166,6 @@ def q_coefficient(beta: float, n: int) -> float:
     return out
 
 
-def _radial_function(a: float, b_order: float, b0: float, r: np.ndarray) -> np.ndarray:
-    # f_n(r, lambda_0 pi) with the Kummer parameter supplied explicitly
-    order = b_order - 1.0
-    z_of_r = b0 * r * r / (2.0 * math.pi)
-    pref = (r * r / math.pi) ** (order / 2.0) * np.exp(-b0 * r * r / (4.0 * math.pi))
-    vals = np.array([kummer_m(a, b_order, zi) for zi in z_of_r])
-    return pref * vals
-
-
 def q_coefficient_profile_path(beta: float, n: int, h: float = 1e-3) -> float:
     """q_n from boundary log-derivatives of the radial functions.
 
@@ -189,7 +180,7 @@ def q_coefficient_profile_path(beta: float, n: int, h: float = 1e-3) -> float:
     stencil = np.array([1.0 - 2 * h, 1.0 - h, 1.0, 1.0 + h, 1.0 + 2 * h])
     out = 1.0
     for a in (a0, a0 + n):  # a parameters of f_{+n} and f_{-n}
-        f = _radial_function(a, n + 1.0, b0, stencil)
+        f, _ = kummer_radial_factor(a, n + 1.0, b0, stencil)
         if abs(f[2]) < _DENOM_FLOOR:
             raise QPoleError(n, a, n + 1.0, z)
         fp = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)

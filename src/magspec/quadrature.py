@@ -1,4 +1,5 @@
-"""Panel Gauss-Legendre quadrature with doubling-based refinement."""
+"""Panel Gauss-Legendre quadrature on [0, 1] (the unit radius) with
+doubling-based refinement on a fixed schedule."""
 
 from __future__ import annotations
 
@@ -6,15 +7,19 @@ import numpy as np
 
 __all__ = ["panel_nodes", "adaptive_integral", "QuadratureError"]
 
+_NODES_PER_PANEL = 12
+_START_PANELS = 4
+_MAX_DOUBLINGS = 10
+
 
 class QuadratureError(RuntimeError):
     """Refinement failed to reach the requested relative tolerance."""
 
 
-def panel_nodes(n_panels: int, n_nodes: int, lo: float = 0.0, hi: float = 1.0):
-    """Nodes and weights of Gauss-Legendre applied on equal subpanels."""
+def panel_nodes(n_panels: int, n_nodes: int):
+    """Nodes and weights of Gauss-Legendre applied on equal subpanels of [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(lo, hi, n_panels + 1)
+    edges = np.linspace(0.0, 1.0, n_panels + 1)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
@@ -22,25 +27,23 @@ def panel_nodes(n_panels: int, n_nodes: int, lo: float = 0.0, hi: float = 1.0):
     return nodes, weights
 
 
-def adaptive_integral(fn, lo: float = 0.0, hi: float = 1.0, rel_tol: float = 1e-8,
-                      n_nodes: int = 12, start_panels: int = 4,
-                      max_doublings: int = 10) -> float:
-    """Integrate fn (vectorized over a node array) by panel doubling.
+def adaptive_integral(fn, rel_tol: float = 1e-8) -> float:
+    """Integrate fn (vectorized over a node array) over [0, 1] by panel doubling.
 
     Stops when successive refinements agree to rel_tol relative to the
     magnitude of the result (with an absolute floor for integrals that are
     genuinely zero).
     """
-    panels = start_panels
-    x, w = panel_nodes(panels, n_nodes, lo, hi)
+    panels = _START_PANELS
+    x, w = panel_nodes(panels, _NODES_PER_PANEL)
     prev = float(np.dot(w, fn(x)))
     scale = max(abs(prev), 1e-300)
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         panels *= 2
-        x, w = panel_nodes(panels, n_nodes, lo, hi)
+        x, w = panel_nodes(panels, _NODES_PER_PANEL)
         cur = float(np.dot(w, fn(x)))
         scale = max(scale, abs(cur))
-        if abs(cur - prev) <= rel_tol * scale + 1e-15 * (hi - lo):
+        if abs(cur - prev) <= rel_tol * scale + 1e-15:
             return cur
         prev = cur
     raise QuadratureError(

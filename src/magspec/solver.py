@@ -90,6 +90,8 @@ class SolverConfig:
             raise ValueError(f"n_angular must be even and >= 16, got {self.n_angular}")
         if self.n_eigs < 1:
             raise ValueError(f"n_eigs must be >= 1, got {self.n_eigs}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if not (0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must be in (0, 1e-6], got {self.tolerance}")
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["MagneticSpectrum", "DIRICHLET", "NEUMANN", "validate_bc"]
+__all__ = ["MagneticSpectrum", "DIRICHLET", "NEUMANN", "validate_bc", "csv_rows"]
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -19,6 +19,17 @@ def validate_bc(bc: str) -> str:
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"boundary condition must be 'dirichlet' or 'neumann', got {bc!r}")
     return bc
+
+
+def csv_rows(text: str, header: str) -> list:
+    """Fields of each data row of a CSV text whose first line must be header.
+
+    Blank lines and '#' comment lines are skipped.
+    """
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    if not lines or lines[0] != header:
+        raise ValueError(f"unrecognized CSV header: expected {header!r}")
+    return [ln.split(",") for ln in lines[1:]]
 
 
 @dataclass(eq=False)
@@ -75,12 +86,8 @@ class MagneticSpectrum:
 
     @classmethod
     def from_csv(cls, text: str) -> "MagneticSpectrum":
-        rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-        if rows[0] != _CSV_HEADER:
-            raise ValueError("unrecognized spectrum CSV header")
         eigenvalues, areas, bcs, betas, provs = [], set(), set(), set(), set()
-        for ln in rows[1:]:
-            _, ev, lam_a, bc, beta, prov = ln.split(",")
+        for _, ev, lam_a, bc, beta, prov in csv_rows(text, _CSV_HEADER):
             eigenvalues.append(float(ev))
             areas.add(float(lam_a) / float(ev))
             bcs.add(bc)

@@ -17,9 +17,10 @@ integrand conj(f') f (beta s/2pi - m/s) i is purely imaginary, so Q2 = 0.
 Only a superposition of modes would depend on eta.  The split chains into
 the eigenvalue-sum bound sum lambda_j(Omega) A / G <= pi sum lambda_j(D).
 
-Radial integrals run over panel Gauss-Legendre nodes with the radial
-factors evaluated once per mode, theta-means over a uniform grid; the
-identity check compares that grid with the finer one of the geometric
+Radial integrals run over panel Gauss-Legendre nodes, theta-means over a
+uniform grid.  The identity takes f and f' from one disk_radial_factors
+call (one M and one M' evaluation per node), the overlap only f.  The
+identity check compares the theta grid with the finer one of the geometric
 factors, so it is a pure quadrature/map consistency test, independent of
 the discrete eigensolver.
 """
@@ -32,8 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .disk import (DiskMode, angular_energy_fraction, disk_eigenvalues,
-                   disk_radial_profile, disk_radial_profile_deriv,
+from .disk import (DiskMode, _angular_coefficient, angular_energy_fraction,
+                   disk_eigenvalues, disk_radial_factors, disk_radial_profile,
                    normalization_constant)
 from .geometry import RadiusProfile, angular_map, factors
 from .quadrature import panel_nodes
@@ -69,14 +70,6 @@ class TransplantReport:
     mass: float  # int_Omega |v|^2 dx; equals area/pi for normalized modes
 
 
-def _radial_samples(mode: DiskMode):
-    s, w = panel_nodes(_RADIAL_PANELS, _RADIAL_NODES, 0.0, 1.0)
-    c = normalization_constant(mode)
-    f = c * disk_radial_profile(mode, s)
-    fp = c * disk_radial_profile_deriv(mode, s)
-    return s, w, f, fp
-
-
 def transplant_identity(profile: RadiusProfile, mode: DiskMode,
                         n_eta: int = 64, n_theta: int = _N_THETA) -> TransplantReport:
     """Energy split Q1, Q2, Q3 of one transplanted mode, compared with the
@@ -89,8 +82,10 @@ def transplant_identity(profile: RadiusProfile, mode: DiskMode,
     """
     if n_eta < 1:
         raise ValueError(f"n_eta must be >= 1, got {n_eta}")
-    s, ws, f, fp = _radial_samples(mode)
-    ang_coef = abs(mode.beta) * s / (2.0 * math.pi) - mode.internal_m / s
+    s, ws = panel_nodes(_RADIAL_PANELS, _RADIAL_NODES)
+    c = normalization_constant(mode)
+    f, fp = (c * v for v in disk_radial_factors(mode, s))
+    ang_coef = _angular_coefficient(mode, s)
 
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     r = profile.radius(theta)
@@ -121,8 +116,9 @@ def transplant_overlap(profile: RadiusProfile, mode_i: DiskMode,
     Vanishes for i != j because the map has constant Jacobian; equals
     area/pi when i == j (normalized modes).
     """
-    s, ws, f_i, _ = _radial_samples(mode_i)
-    _, _, f_j, _ = _radial_samples(mode_j)
+    s, ws = panel_nodes(_RADIAL_PANELS, _RADIAL_NODES)
+    f_i = normalization_constant(mode_i) * disk_radial_profile(mode_i, s)
+    f_j = normalization_constant(mode_j) * disk_radial_profile(mode_j, s)
     radial = float(np.dot(ws * s, f_i * f_j))
     theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
     r = profile.radius(theta)

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from magspec.cli import main
+from magspec.functionals import verdicts_from_csv
+from magspec.pauli import PauliSpectrum
 from magspec.spectra import MagneticSpectrum
 
 
@@ -100,6 +102,19 @@ class TestSpectrumCommands:
         assert ps.eigenvalues[0] > 0
 
 
+@pytest.mark.parametrize("text", ["", "# magspec 0.1.0 disk\n\n"],
+                         ids=["empty", "comments-only"])
+@pytest.mark.parametrize("parse, header", [
+    (MagneticSpectrum.from_csv, "index,eigenvalue,lambda_times_A,bc,beta,provenance"),
+    (verdicts_from_csv, "functional,n,lhs,rhs,margin,error_bar,holds,bc,beta"),
+    (PauliSpectrum.from_csv, "index,eigenvalue,branch,source_index,"
+                             "shifted_normalized,beta,area,g"),
+], ids=["spectrum", "verdicts", "pauli"])
+def test_csv_without_header_names_the_header(parse, header, text):
+    with pytest.raises(ValueError, match=f"expected '{header}'"):
+        parse(text)
+
+
 class TestVerify:
     def test_verdict_table(self, capsys, ellipse_json, tmp_path):
         out_path = tmp_path / "v.json"
@@ -149,6 +164,15 @@ class TestUsageErrors:
         ["solve", "--beta", "5", "--tol", "1e-3"],
         ["perturb", "--beta", "5", "--eps", "abc"],
         ["perturb", "--beta", "5", "--eps", "0.04,-0.01"],
+        ["disk", "--n", "3", "--beta", "nan"],
+        ["disk", "--n", "3", "--beta", "inf"],
+        ["solve", "--n", "3", "--beta", "nan"],
+        ["verify", "--n", "3", "--beta", "nan"],
+        ["pauli", "--n", "3", "--beta", "nan"],
+        ["transplant", "--mode-index", "0", "--beta", "nan"],
+        ["perturb", "--eps", "0.01", "--beta", "nan"],
+        ["sweep", "--n", "1", "--beta", "0:1:nan"],
+        ["sweep", "--n", "1", "--beta", "0:inf:1"],
     ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
     def test_bad_argument_is_usage_error(self, capsys, disk_json, argv):
         # The input file is never read: parsing stops at the bad argument.

@@ -8,6 +8,7 @@ from magspec.disk import (_check_root, angular_energy_fraction, disk_eigenvalues
                           disk_radial_profile, disk_radial_profile_deriv,
                           normalization_constant, rayleigh_energy)
 from magspec.kummer import bessel_j_zero, kummer_m
+from magspec.solver import SolverConfig
 
 
 class TestZeroField:
@@ -85,6 +86,14 @@ class TestMagneticSpectrum:
         assert [(md.m, md.k) for md in spec.modes] == [(0, 1), (1, 1), (2, 1), (3, 1)]
         for md in spec.modes:
             assert md.eigenvalue * math.pi / 150.0 == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_flux_is_rejected(beta):
+    with pytest.raises(ValueError, match="beta must be finite"):
+        disk_eigenvalues(beta, 3)
+    with pytest.raises(ValueError, match="beta must be finite"):
+        SolverConfig(beta=beta)
 
 
 class TestRootCheck:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from magspec import disk as disk_mod
+from magspec import transplant as transplant_mod
 from magspec.disk import disk_eigenvalues, disk_radial_profile
 from magspec.geometry import RadiusProfile, angular_map, factors
 from magspec.kummer import bessel_j_zero
@@ -101,6 +103,40 @@ class TestOrthogonality:
             ov = transplant_overlap(ELLIPSE, mode, mode)
             assert ov.real == pytest.approx(area / math.pi, abs=1e-8)
             assert abs(ov.imag) < 1e-12
+
+
+class TestKummerBudget:
+    """Each radial node costs one M (and, for the identity, one M') evaluation."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"kummer_m": 0, "kummer_m_dz": 0}
+        for name in counts:
+            original = getattr(disk_mod, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(disk_mod, name, counted)
+        return counts
+
+    def test_identity_evaluates_m_once_per_radial_node(self, calls):
+        mode = disk_eigenvalues(5.0, 2).modes[1]
+        calls.update(kummer_m=0, kummer_m_dz=0)  # not the root search
+        disk_mod.normalization_constant(mode)
+        norm_calls = calls["kummer_m"]
+        calls.update(kummer_m=0, kummer_m_dz=0)
+        transplant_identity(ELLIPSE, mode)
+        nodes = transplant_mod._RADIAL_PANELS * transplant_mod._RADIAL_NODES
+        assert calls["kummer_m"] <= nodes + norm_calls
+        assert calls["kummer_m_dz"] <= nodes
+
+    def test_overlap_needs_no_derivative(self, calls):
+        modes = disk_eigenvalues(5.0, 2).modes
+        transplant_overlap(ELLIPSE, modes[0], modes[1])
+        assert calls["kummer_m"] > 0
+        assert calls["kummer_m_dz"] == 0
 
 
 class TestSumBoundChain:
