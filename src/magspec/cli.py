@@ -99,6 +99,9 @@ def _parse_ints(spec: str):
     return counts
 
 
+_MAX_BETA_POINTS = 10_000
+
+
 def _parse_beta_range(spec: str):
     parts = spec.split(":")
     if len(parts) != 3:
@@ -108,6 +111,9 @@ def _parse_beta_range(spec: str):
         raise argparse.ArgumentTypeError(f"beta range {spec} must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("beta step must be positive")
+    if (stop + 1e-12 - start) / step >= _MAX_BETA_POINTS:  # as the loop ends
+        raise argparse.ArgumentTypeError(
+            f"beta range {spec} has more than {_MAX_BETA_POINTS} points")
     out, v, i = [], start, 0
     while v <= stop + 1e-12:
         out.append(round(v, 12))

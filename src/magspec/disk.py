@@ -25,6 +25,16 @@ that plus beta^2/4pi.  Roots are taken in the order of these lower bounds,
 and the search stops once n are found and no bound lies below the n-th:
 the spectrum is complete by construction.
 
+Each bracket is shrunk to two adjacent floats whose computed signs of M
+differ, by Anderson-Bjorck regula falsi with a midpoint step whenever two
+steps have not halved it.  That ends on the floats plain bisection ends on,
+from 5-20 M evaluations per eigenvalue (bracket steps and root check
+included) instead of 12-69.  The step is written here, not taken from
+scipy.optimize: importing that module costs 0.25-0.29 s (2-vCPU VM,
+Python 3.11, scipy 1.17), longer than a whole disk-spectra benchmark round
+takes with this step, and its brentq returns a point, not the bracket the
+adjacent-float end needs.
+
 Every radial factor comes from kummer_radial_factor, which takes the Kummer
 parameters directly and gives f, and f' on request, from one M and one M'
 evaluation per radius.
@@ -87,19 +97,45 @@ def _kummer_parameter(m_int: int, x: float, b0: float) -> float:
     return 0.5 * (1 + abs(m_int) - m_int) - x / (2.0 * b0)
 
 
-def _bisect(g, lo: float, hi: float, f_lo: float) -> float:
-    for _ in range(200):
+def _refine_to_adjacent_floats(g, lo: float, hi: float, f_lo: float,
+                               f_hi: float, sign: float) -> float:
+    """Shrink [lo, hi], which holds one root of g, to two adjacent floats
+    whose signs of g differ, and return their midpoint.  `sign` is the sign
+    of g at lo (Sturm) and not at hi; f_lo and f_hi are the computed g there.
+
+    Anderson-Bjorck regula falsi: a secant step through the ends, rounded
+    to lie strictly inside; when one end moves twice running, the value kept
+    at the other is scaled by 1 - g(new)/g(old) (1/2 if that is <= 0).  A
+    midpoint step replaces it whenever two steps have not halved the
+    bracket, and every step is a midpoint when f_lo disagrees with `sign`.
+    Which end moves depends on the sign of g alone, so the two floats are
+    the ones plain bisection ends on.
+    """
+    secant = f_lo * sign > 0
+    moved = 0  # the end the last step moved: -1 lo, +1 hi
+    widths = (math.inf, math.inf)  # of the bracket two and one steps back
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        f_mid = g(mid)
-        if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0:
-            hi = mid
+        x = mid
+        if secant and hi - lo <= 0.5 * widths[0]:
+            x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            x = min(max(x, math.nextafter(lo, hi)), math.nextafter(hi, lo))
+        widths = (widths[1], hi - lo)
+        f_x = g(x)
+        if f_x == 0.0:
+            return x
+        if f_x * sign < 0:
+            if moved > 0:
+                scale = 1.0 - f_x / f_hi
+                f_lo *= scale if scale > 0 else 0.5
+            hi, f_hi, moved = x, f_x, 1
         else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+            if moved < 0:
+                scale = 1.0 - f_x / f_lo
+                f_hi *= scale if scale > 0 else 0.5
+            lo, f_lo, moved = x, f_x, -1
 
 
 def _landau_point(m_int: int, i: int, b0: float) -> float:
@@ -129,7 +165,8 @@ def _next_root(m_int: int, k: int, lo: float, b0: float, z: float, x_cap: float)
     def g(x: float) -> float:
         return kummer_m(_kummer_parameter(m_int, x, b0), abs(m_int) + 1.0, z)
 
-    f_lo = (-1.0) ** (k - 1)
+    sign = (-1.0) ** (k - 1)
+    f_lo = None  # M at lo, once computed
     # below root k + 1, and above root k when the Bessel brackets are apart
     ceiling = min(_bessel_bracket(m_int, k, b0)[1], _bessel_bracket(m_int, k + 1, b0)[0])
     while True:
@@ -141,11 +178,13 @@ def _next_root(m_int: int, k: int, lo: float, b0: float, z: float, x_cap: float)
                 i += 1
         hi = min(hi, x_cap)
         f_hi = g(hi)
-        if f_lo * f_hi <= 0:
-            return _bisect(g, lo, hi, f_lo), hi
+        if sign * f_hi <= 0:
+            if f_lo is None:
+                f_lo = g(lo)
+            return _refine_to_adjacent_floats(g, lo, hi, f_lo, f_hi, sign), hi
         if hi == x_cap:
             return None, hi
-        lo = hi
+        lo, f_lo = hi, f_hi
 
 
 def _collect_magnetic(b0: float, z: float, n: int):
@@ -311,16 +350,12 @@ def angular_energy_fraction(mode: DiskMode) -> float:
     if mode.beta == 0.0 and mode.m == 0:
         return 0.0
 
-    def ang(s):
-        f = disk_radial_profile(mode, s)
-        return (_angular_coefficient(mode, s) * f) ** 2 * s
+    def ang_and_rad(s):
+        f, fp = disk_radial_factors(mode, s)
+        return (_angular_coefficient(mode, s) * f) ** 2 * s, fp**2 * s
 
-    def rad(s):
-        return disk_radial_profile_deriv(mode, s) ** 2 * s
-
-    num = adaptive_integral(ang, rel_tol=1e-8)
-    den = num + adaptive_integral(rad, rel_tol=1e-8)
-    alpha = num / den
+    num, rad = adaptive_integral(ang_and_rad, rel_tol=1e-8)
+    alpha = num / (num + rad)
     if not -1e-12 <= alpha <= 1 + 1e-12:
         raise RuntimeError(f"angular energy fraction {alpha} outside [0, 1]")
     return min(max(alpha, 0.0), 1.0)
@@ -333,12 +368,9 @@ def rayleigh_energy(mode: DiskMode) -> float:
     derivative, and the angular index convention.
     """
 
-    def dens(s):
+    def dens_and_mass(s):
         f, fp = disk_radial_factors(mode, s)
-        return (fp**2 + (_angular_coefficient(mode, s) * f) ** 2) * s
+        return (fp**2 + (_angular_coefficient(mode, s) * f) ** 2) * s, f**2 * s
 
-    def mass(s):
-        return disk_radial_profile(mode, s) ** 2 * s
-
-    return adaptive_integral(dens, rel_tol=1e-9) / adaptive_integral(
-        mass, rel_tol=1e-9)
+    dens, mass = adaptive_integral(dens_and_mass, rel_tol=1e-9)
+    return dens / mass

@@ -27,25 +27,42 @@ def panel_nodes(n_panels: int, n_nodes: int):
     return nodes, weights
 
 
-def adaptive_integral(fn, rel_tol: float = 1e-8) -> float:
+def adaptive_integral(fn, rel_tol: float = 1e-8):
     """Integrate fn (vectorized over a node array) over [0, 1] by panel doubling.
 
     Stops when successive refinements agree to rel_tol relative to the
     magnitude of the result (with an absolute floor for integrals that are
-    genuinely zero).
+    genuinely zero).  When fn returns a tuple of integrands on the same
+    nodes, each stops at its own level and the integrals come back as a
+    tuple, from one fn call per level.
     """
+    single = True
+
+    def integrate(panels):
+        nonlocal single
+        x, w = panel_nodes(panels, _NODES_PER_PANEL)
+        values = fn(x)
+        single = not isinstance(values, tuple)
+        return [float(np.dot(w, v)) for v in ((values,) if single else values)]
+
     panels = _START_PANELS
-    x, w = panel_nodes(panels, _NODES_PER_PANEL)
-    prev = float(np.dot(w, fn(x)))
-    scale = max(abs(prev), 1e-300)
+    prev = integrate(panels)
+    scale = [max(abs(p), 1e-300) for p in prev]
+    result = [None] * len(prev)
     for _ in range(_MAX_DOUBLINGS):
         panels *= 2
-        x, w = panel_nodes(panels, _NODES_PER_PANEL)
-        cur = float(np.dot(w, fn(x)))
-        scale = max(scale, abs(cur))
-        if abs(cur - prev) <= rel_tol * scale + 1e-15:
-            return cur
+        cur = integrate(panels)
+        changes = []
+        for i, c in enumerate(cur):
+            if result[i] is None:
+                scale[i] = max(scale[i], abs(c))
+                if abs(c - prev[i]) <= rel_tol * scale[i] + 1e-15:
+                    result[i] = c
+                else:
+                    changes.append(abs(c - prev[i]))
+        if not changes:
+            return result[0] if single else tuple(result)
         prev = cur
     raise QuadratureError(
         f"panel refinement did not converge to rel_tol={rel_tol} "
-        f"(last change {abs(cur - prev):.3g} at {panels} panels)")
+        f"(last change {max(changes):.3g} at {panels} panels)")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from magspec.cli import main
+from magspec.cli import _parse_beta_range, main
 from magspec.functionals import verdicts_from_csv
 from magspec.pauli import PauliSpectrum
 from magspec.spectra import MagneticSpectrum
@@ -173,6 +174,7 @@ class TestUsageErrors:
         ["perturb", "--eps", "0.01", "--beta", "nan"],
         ["sweep", "--n", "1", "--beta", "0:1:nan"],
         ["sweep", "--n", "1", "--beta", "0:inf:1"],
+        ["sweep", "--n", "1", "--beta", "0:1e9:1e-3"],
     ], ids=lambda argv: "-".join(argv[:1] + argv[3:]))
     def test_bad_argument_is_usage_error(self, capsys, disk_json, argv):
         # The input file is never read: parsing stops at the bad argument.
@@ -190,6 +192,15 @@ class TestUsageErrors:
             main(["sweep", "--domain", disk_json, "--beta", "2:1:0.5"])
         assert info.value.code == 2
         assert "has no points" in capsys.readouterr().err
+
+    def test_beta_range_point_cap(self):
+        # rejected before any point is built: 0:1e9:1e-3 would be 1e12 points
+        assert _parse_beta_range("0.5:2:0.5") == [0.5, 1.0, 1.5, 2.0]
+        assert len(_parse_beta_range("0:9999:1")) == 10_000
+        for spec in ("0:10000:1", "0:1e9:1e-3", "0:1e-296:1e-300"):
+            with pytest.raises(argparse.ArgumentTypeError,
+                               match="more than 10000 points"):
+                _parse_beta_range(spec)
 
 
 class TestTransplantAndPerturb:

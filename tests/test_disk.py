@@ -130,6 +130,65 @@ class TestLandauBrackets:
             assert lam > landau or (beta == 300.0 and lam == landau)
 
 
+def _bisect_to_adjacent_floats(g, lo, hi, sign):
+    """Reference: plain bisection of [lo, hi], where g has the sign `sign`
+    at lo and not at hi, to two adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        f_mid = g(mid)
+        if f_mid == 0.0:
+            return mid
+        if sign * f_mid < 0:
+            hi = mid
+        else:
+            lo = mid
+
+
+class TestRootRefinement:
+    @pytest.mark.parametrize("beta, n", [(1e-20, 5), (0.9, 8), (5.0, 10),
+                                         (150.0, 6), (300.0, 8)])
+    def test_matches_bisection_bit_for_bit(self, monkeypatch, beta, n):
+        refine = disk._refine_to_adjacent_floats
+        roots = []  # (refined, reference) per bracket
+
+        def compared(g, lo, hi, f_lo, f_hi, sign):
+            x = refine(g, lo, hi, f_lo, f_hi, sign)
+            roots.append((x.hex(), _bisect_to_adjacent_floats(g, lo, hi, sign).hex()))
+            return x
+
+        monkeypatch.setattr(disk, "_refine_to_adjacent_floats", compared)
+        spec = disk_eigenvalues.__wrapped__(beta, n)  # bypass the cache
+        assert len(roots) >= n
+        assert [x for x, _ in roots] == [ref for _, ref in roots]
+        refined = {float.fromhex(x) / math.pi for x, _ in roots}
+        assert set(spec.eigenvalues) <= refined
+
+    @pytest.mark.parametrize("f_lo", [0.0, 1e-300])
+    def test_contradicted_sturm_sign_takes_midpoints(self, f_lo):
+        # lo on the previous root, where the computed g is 0 or of the wrong
+        # sign: every step is the midpoint, as in plain bisection
+        def g(x):
+            points.append(x)
+            return (x - 1.0) * (x - math.sqrt(2.0))
+
+        points = []
+        reference = _bisect_to_adjacent_floats(g, 1.0, 3.0, -1.0)
+        bisection_points = points[:]
+        points.clear()
+        f_hi = 2.0 * (3.0 - math.sqrt(2.0))  # g(3)
+        x = disk._refine_to_adjacent_floats(g, 1.0, 3.0, f_lo, f_hi, -1.0)
+        assert x.hex() == reference.hex()
+        assert points == bisection_points
+
+    @pytest.mark.parametrize("beta, n", [(0.5, 8), (5.0, 40), (37.0, 25), (300.0, 6)])
+    def test_kummer_calls_per_eigenvalue(self, kummer_calls, beta, n):
+        spec = disk_eigenvalues.__wrapped__(beta, n)  # bypass the cache
+        assert len(spec.modes) == n
+        assert kummer_calls["kummer_m"] <= 30 * n
+
+
 class TestRadialProfile:
     def test_dirichlet_boundary_value(self):
         mode = disk_eigenvalues(5.0, 1).modes[0]
@@ -179,6 +238,13 @@ class TestAngularEnergy:
             spec = disk_eigenvalues(beta, 3)
             for md in spec.modes:
                 assert rayleigh_energy(md) == pytest.approx(md.eigenvalue, rel=1e-6)
+
+    @pytest.mark.parametrize("energy", [angular_energy_fraction, rayleigh_energy])
+    def test_one_m_and_one_m_prime_per_node(self, kummer_calls, energy):
+        mode = disk_eigenvalues(5.0, 2).modes[1]
+        kummer_calls.update(kummer_m=0, kummer_m_dz=0)  # not the root search
+        energy(mode)
+        assert kummer_calls["kummer_m"] == kummer_calls["kummer_m_dz"] > 0
 
     def test_rayleigh_identity_zero_field(self):
         spec = disk_eigenvalues(0.0, 3)

@@ -108,35 +108,22 @@ class TestOrthogonality:
 class TestKummerBudget:
     """Each radial node costs one M (and, for the identity, one M') evaluation."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"kummer_m": 0, "kummer_m_dz": 0}
-        for name in counts:
-            original = getattr(disk_mod, name)
-
-            def counted(*args, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(*args)
-
-            monkeypatch.setattr(disk_mod, name, counted)
-        return counts
-
-    def test_identity_evaluates_m_once_per_radial_node(self, calls):
+    def test_identity_evaluates_m_once_per_radial_node(self, kummer_calls):
         mode = disk_eigenvalues(5.0, 2).modes[1]
-        calls.update(kummer_m=0, kummer_m_dz=0)  # not the root search
+        kummer_calls.update(kummer_m=0, kummer_m_dz=0)  # not the root search
         disk_mod.normalization_constant(mode)
-        norm_calls = calls["kummer_m"]
-        calls.update(kummer_m=0, kummer_m_dz=0)
+        norm_calls = kummer_calls["kummer_m"]
+        kummer_calls.update(kummer_m=0, kummer_m_dz=0)
         transplant_identity(ELLIPSE, mode)
         nodes = transplant_mod._RADIAL_PANELS * transplant_mod._RADIAL_NODES
-        assert calls["kummer_m"] <= nodes + norm_calls
-        assert calls["kummer_m_dz"] <= nodes
+        assert kummer_calls["kummer_m"] <= nodes + norm_calls
+        assert kummer_calls["kummer_m_dz"] <= nodes
 
-    def test_overlap_needs_no_derivative(self, calls):
+    def test_overlap_needs_no_derivative(self, kummer_calls):
         modes = disk_eigenvalues(5.0, 2).modes
         transplant_overlap(ELLIPSE, modes[0], modes[1])
-        assert calls["kummer_m"] > 0
-        assert calls["kummer_m_dz"] == 0
+        assert kummer_calls["kummer_m"] > 0
+        assert kummer_calls["kummer_m_dz"] == 0
 
 
 class TestSumBoundChain:
