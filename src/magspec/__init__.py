@@ -10,10 +10,8 @@ and the second-order perturbation series for nearly circular domains.
 __version__ = "0.1.0"
 
 from .geometry import (AngularMap, GeometricFactors, RadiusProfile,
-                       angular_map, factors, load_profile,
-                       perturbation_factor_expansion)
-from .kummer import (KummerParams, bessel_j, bessel_j_zero, kummer_m,
-                     kummer_m_da, kummer_m_dz)
+                       angular_map, factors, load_profile)
+from .kummer import bessel_j_zero, kummer_m, kummer_m_da, kummer_m_dz
 from .spectra import DIRICHLET, NEUMANN, MagneticSpectrum
 from .disk import (DiskMode, angular_energy_fraction, disk_eigenvalues,
                    disk_radial_profile)
@@ -29,13 +27,13 @@ from .corpus import CorpusEntry, load_corpus
 
 __all__ = [
     "AngularMap", "BoundVerdict", "CorpusEntry", "DIRICHLET", "DiskMode",
-    "GeometricFactors", "KummerParams", "MagneticSpectrum", "NEUMANN",
+    "GeometricFactors", "MagneticSpectrum", "NEUMANN",
     "PauliSpectrum", "PerturbationProfile", "PerturbationReport", "PhiFamily",
     "RadiusProfile", "SolverConfig", "angular_energy_fraction", "angular_map",
-    "bessel_j", "bessel_j_zero", "coefficient_c", "convergence_study",
+    "bessel_j_zero", "coefficient_c", "convergence_study",
     "quadratic_bound", "disk_eigenvalues", "disk_radial_profile", "factors",
     "load_corpus", "load_profile", "majorization_check",
-    "pauli_spectrum", "perturbation_factor_expansion", "phi_sum",
+    "pauli_spectrum", "phi_sum",
     "q_coefficient", "slope_validation", "solve", "sum_bound_chain",
     "transplant_identity", "verify_bounds", "verify_pauli_bounds",
 ]

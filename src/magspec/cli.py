@@ -30,7 +30,7 @@ from . import __version__
 from .disk import disk_eigenvalues
 from .functionals import PhiFamily, verdicts_to_csv, verify_bounds
 from .geometry import factors, load_profile
-from .pauli import _grow_until_certified, pauli_spectrum
+from .pauli import pauli_spectrum
 from .perturbation import (PerturbationProfile, quadratic_bound,
                            slope_validation)
 from .solver import SolverConfig, dominant_angular_mode, solve
@@ -282,11 +282,8 @@ def _cmd_perturb(args) -> int:
 
 def _cmd_pauli(args) -> int:
     profile = load_profile(args.domain)
-    geo = factors(profile)
-    magnetic, _ = _grow_until_certified(
-        lambda count: solve(profile, _solver_config(args, DIRICHLET, args.beta, count)),
-        args.n, start=args.n + max(2, args.n // 2))
-    ps = pauli_spectrum(magnetic, args.n, g=geo.g)
+    magnetic = solve(profile, _solver_config(args, DIRICHLET, args.beta, args.n))
+    ps = pauli_spectrum(magnetic, args.n, g=factors(profile).g)
     _emit_csv(args, ps.to_csv())
     _maybe_plot(args, spectrum_steps_svg, ps.eigenvalues, "pauli spectrum")
     return 0

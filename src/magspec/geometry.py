@@ -19,12 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .perturbation import PerturbationProfile
 
 __all__ = [
     "RadiusProfile",
@@ -32,7 +29,6 @@ __all__ = [
     "AngularMap",
     "factors",
     "angular_map",
-    "perturbation_factor_expansion",
     "load_profile",
 ]
 
@@ -155,6 +151,9 @@ class RadiusProfile:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RadiusProfile":
+        if not isinstance(data, dict):
+            raise ValueError('a domain must be {"r0": .., "harmonics": [..]} or '
+                             f'{{"samples": [..]}}, got {data!r}')
         if "samples" in data:
             return cls.from_samples(data["samples"])
         entries = data.get("harmonics", ())
@@ -163,9 +162,25 @@ class RadiusProfile:
             raise ValueError('harmonics must be a list of {"n": .., "a": .., "b": ..} '
                              f"entries, got {entries!r}")
         harmonics = tuple(
-            (int(h["n"]), float(h.get("a", 0.0)), float(h.get("b", 0.0)))
+            (_index(h["n"]), _real(h.get("a", 0.0), "harmonic a"),
+             _real(h.get("b", 0.0), "harmonic b"))
             for h in entries)
-        return cls(r0=float(data["r0"]), harmonics=harmonics)
+        return cls(r0=_real(data.get("r0"), "r0"), harmonics=harmonics)
+
+
+def _real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+
+
+def _index(value) -> int:
+    """Harmonic index n, rejected rather than truncated when not an integer."""
+    n = _real(value, "harmonic n")
+    if not n.is_integer():
+        raise ValueError(f"harmonic n must be an integer, got {value!r}")
+    return int(n)
 
 
 def load_profile(source) -> RadiusProfile:
@@ -226,8 +241,8 @@ class AngularMap:
 
     phi' = R(theta)^2 * pi / area with phi(0) = 0 and phi(2pi) = 2pi.  The
     map is held in one form, the Fourier coefficients (d0, da, db) of R^2
-    from RadiusProfile.squared_fourier, so phi_at and phi_deriv_at are the
-    exact antiderivative and integrand (area = pi * d0).
+    from RadiusProfile.squared_fourier, so phi_at is the exact
+    antiderivative of R^2 pi / A (area = pi * d0).
     """
 
     _d0: float
@@ -245,31 +260,7 @@ class AngularMap:
                          + (1.0 - np.cos(ang)) @ (self._db / ns)) / self._d0
         return out if theta.ndim else float(out)
 
-    def phi_deriv_at(self, theta):
-        """phi'(theta) = R(theta)^2 pi / A in exact Fourier form."""
-        theta = np.asarray(theta, dtype=float)
-        out = np.ones_like(theta, dtype=float)
-        if len(self._da):
-            ns = np.arange(1, len(self._da) + 1, dtype=float)
-            ang = np.multiply.outer(theta, ns)
-            out = out + (np.cos(ang) @ self._da + np.sin(ang) @ self._db) / self._d0
-        return out if theta.ndim else float(out)
-
 
 def angular_map(profile: RadiusProfile) -> AngularMap:
     """The constant-Jacobian angle map of the profile."""
     return AngularMap(*profile.squared_fourier())
-
-
-def perturbation_factor_expansion(profile: "PerturbationProfile",
-                                  eps: float) -> tuple[float, float]:
-    """Quadratic coefficients of the roundness factors of R = 1 + eps*P.
-
-    Returns (g0_quadratic, g1_quadratic) where
-    G0 = 1 + g0_quadratic * eps^2 + O(eps^3) with g0_quadratic = 2 sum n^2|p_n|^2,
-    G1 = 1 + g1_quadratic * eps^2 + O(eps^3) with g1_quadratic = 8 sum |p_n|^2,
-    the sums running over n >= 1 (the symmetric half of the spectrum is
-    folded in).  eps is only used to check that 1 + eps*P stays positive.
-    """
-    profile.to_radius_profile(eps)  # raises if 1 + eps*P is not positive
-    return 2.0 * profile.sum_n2_sq, 8.0 * profile.sum_sq

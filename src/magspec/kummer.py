@@ -1,4 +1,4 @@
-"""Confluent hypergeometric (Kummer) series, plus Bessel J and its zeros.
+"""Confluent hypergeometric (Kummer) series, plus the zeros of Bessel J.
 
 The Kummer function and its derivatives are evaluated from the defining
 power series, summed in fixed 45-digit decimal arithmetic.  The extra
@@ -12,26 +12,23 @@ The validated argument range is 0 <= z <= 50, which covers every flux
 value the disk solvers produce (z = beta/2pi or beta*r^2/2pi); larger z
 raises rather than silently losing accuracy to the growing terms.
 
-Bessel J and its positive zeros, needed only at zero flux, come from
+The positive zeros of Bessel J, which bracket every disk root, come from
 scipy.special in float64.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
 __all__ = [
-    "KummerParams",
     "KummerConvergenceError",
     "kummer_m",
     "kummer_m_dz",
     "kummer_m_d2z",
     "kummer_m_da",
     "ode_residual",
-    "bessel_j",
     "bessel_j_zero",
     "Z_MAX",
 ]
@@ -66,18 +63,6 @@ def _validate(a: float, b: float, z: float) -> tuple[float, float, float]:
     if z > Z_MAX:
         raise ValueError(f"Kummer argument z={z} outside validated range [0, {Z_MAX}]")
     return a, b, z
-
-
-@dataclass(frozen=True)
-class KummerParams:
-    """Argument bundle (a, b, z) for M(a, b, z); b not a non-positive integer, z >= 0."""
-
-    a: float
-    b: float
-    z: float
-
-    def __post_init__(self):
-        _validate(self.a, self.b, self.z)
 
 
 def _m_series(a: float, b: float, z: float) -> Decimal:
@@ -172,21 +157,11 @@ def kummer_m_da(a: float, b: float, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bessel functions of the first kind and their positive zeros.  These need
-# no extended precision: jn_zeros matches 40-digit references to ~2e-16
+# Positive zeros of Bessel functions of the first kind.  These need no
+# extended precision: jn_zeros matches 40-digit references to ~2e-16
 # relative for orders <= 30 and k <= 15.  scipy.special is imported on first
-# use: it adds ~70 ms to every import of the package, and only the
-# zero-flux problem needs it.
-
-
-def bessel_j(order: int, x: float) -> float:
-    """J_order(x) for integer order >= 0 and x >= 0."""
-    if order < 0 or not float(order).is_integer():
-        raise ValueError(f"Bessel order must be a non-negative integer, got {order}")
-    if x < 0:
-        raise ValueError(f"Bessel argument must be non-negative, got {x}")
-    from scipy.special import jv
-    return float(jv(int(order), float(x)))
+# use: it adds ~70 ms to every import of the package, and only the disk
+# spectra need it.
 
 
 @lru_cache(maxsize=None)

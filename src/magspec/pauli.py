@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from . import disk as disk_mod
 from .functionals import PhiFamily, _verdicts, domain_and_disk_spectra
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig
@@ -99,7 +98,9 @@ def pauli_spectrum(magnetic: MagneticSpectrum, n: int, g: float = 1.0) -> PauliS
 
     Raises InsufficientSpectrumError when the supplied magnetic spectrum
     cannot certify the n-th merged value (an unseen magnetic eigenvalue
-    could still slip below it after the downward shift).
+    could still slip below it after the downward shift).  That needs
+    fewer than n magnetic values: the n-th merged value is at most
+    lambda_n - |beta|/A, the certainty floor of any n of them.
     """
     if magnetic.bc != DIRICHLET:
         raise ValueError(
@@ -117,29 +118,16 @@ def pauli_spectrum(magnetic: MagneticSpectrum, n: int, g: float = 1.0) -> PauliS
             f"only {len(merged)} candidate values for n={n}", required=n)
     certainty_floor = magnetic.eigenvalues[-1] - abs(shift)
     if merged[n - 1][0] > certainty_floor:
-        required = len(magnetic.eigenvalues) + max(2, n // 2)
         raise InsufficientSpectrumError(
             f"the {n}-th Pauli value {merged[n - 1][0]:.6g} is not certified by "
             f"{len(magnetic.eigenvalues)} magnetic eigenvalues (floor "
-            f"{certainty_floor:.6g}); provide at least {required}", required=required)
+            f"{certainty_floor:.6g}); provide at least {n}", required=n)
     if merged[0][0] <= 0:
         raise RuntimeError(
             f"nonpositive Pauli ground value {merged[0][0]:.6g}: input is not a "
             "genuine Dirichlet magnetic spectrum")
     return PauliSpectrum(entries=tuple(merged[:n]), beta=magnetic.beta,
                          area=magnetic.area, g=g)
-
-
-def _grow_until_certified(fetch, n: int, start: int):
-    count = start
-    for _ in range(12):
-        magnetic = fetch(count)
-        try:
-            return magnetic, pauli_spectrum(magnetic, n, g=1.0)
-        except InsufficientSpectrumError as exc:
-            count = max(exc.required, count + 2)
-    raise InsufficientSpectrumError(
-        f"could not certify {n} Pauli eigenvalues", required=count)
 
 
 def verify_pauli_bounds(profile: RadiusProfile, beta: float, n,
@@ -149,26 +137,20 @@ def verify_pauli_bounds(profile: RadiusProfile, beta: float, n,
 
     Applies each functional to (lambda^P_j + |beta|/A) A / G on the domain
     against the disk's (lambda^P_j + |beta|/pi) pi, exactly as for the
-    magnetic eigenvalues; error bars are inherited from the parent
-    magnetic eigenvalues through the merge.
+    magnetic eigenvalues.  Both sides come from one domain_and_disk_spectra
+    call, as for the magnetic verdicts, with max(n) eigenvalues each: n
+    magnetic values always certify n Pauli values.  Error bars are
+    inherited from the parent magnetic eigenvalues through the merge; the
+    disk's are zero.
     """
     def sides(n_max):
-        magnetic, dom_pauli = _grow_until_certified(
-            lambda count: domain_and_disk_spectra(profile, beta, DIRICHLET,
-                                                  count, cfg)[0],
-            n_max, start=n_max + 2)
-        disk_magnetic, disk_pauli = _grow_until_certified(
-            lambda count: disk_mod.disk_eigenvalues(beta, count),
-            n_max, start=len(magnetic.eigenvalues))
-
-        g = factors(profile).g
-        shift = abs(beta) / magnetic.area
-        dom_vals = [(v + shift) * magnetic.area / g for v in dom_pauli.eigenvalues]
-        dom_bars = [magnetic.error_bars[src] * magnetic.area / g
-                    for _, _, src in dom_pauli.entries]
-        disk_shift = abs(beta) / disk_magnetic.area
-        disk_vals = [(v + disk_shift) * disk_magnetic.area
-                     for v in disk_pauli.eigenvalues]
-        return dom_vals, dom_bars, disk_vals, [0.0] * len(disk_vals)
+        spectra = domain_and_disk_spectra(profile, beta, DIRICHLET, n_max, cfg)
+        out = []
+        for magnetic, g in zip(spectra, (factors(profile).g, 1.0)):
+            pauli = pauli_spectrum(magnetic, n_max, g)
+            out += [pauli.shifted_normalized,
+                    [magnetic.error_bars[src] * magnetic.area / g
+                     for _, _, src in pauli.entries]]
+        return out
 
     return _verdicts(n, phis, sides, DIRICHLET, beta)

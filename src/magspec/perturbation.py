@@ -121,7 +121,18 @@ class PerturbationProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PerturbationProfile":
-        return cls({int(k): complex(v[0], v[1]) for k, v in data["p"].items()})
+        form = 'a perturbation profile must be {"p": {"<n>": [re, im], ..}}'
+        coeffs = data.get("p") if isinstance(data, dict) else None
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"{form}, got {data!r}")
+        p = {}
+        for key, val in coeffs.items():
+            try:
+                real, imag = val
+                p[int(key)] = complex(real, imag)
+            except (TypeError, ValueError):
+                raise ValueError(f"{form} with integer n, got {key!r}: {val!r}") from None
+        return cls(p)
 
 
 def _ground_parameters(beta: float):

@@ -109,8 +109,7 @@ def transplant_identity(profile: RadiusProfile, mode: DiskMode,
 
 
 def transplant_overlap(profile: RadiusProfile, mode_i: DiskMode,
-                       mode_j: DiskMode, eta: float = 0.0,
-                       n_theta: int = _N_THETA) -> complex:
+                       mode_j: DiskMode) -> complex:
     """L2 inner product int_Omega v_i conj(v_j) dx of two transplanted modes.
 
     Vanishes for i != j because the map has constant Jacobian; equals
@@ -120,12 +119,12 @@ def transplant_overlap(profile: RadiusProfile, mode_i: DiskMode,
     f_i = normalization_constant(mode_i) * disk_radial_profile(mode_i, s)
     f_j = normalization_constant(mode_j) * disk_radial_profile(mode_j, s)
     radial = float(np.dot(ws * s, f_i * f_j))
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    theta = np.arange(_N_THETA) * (2.0 * math.pi / _N_THETA)
     r = profile.radius(theta)
     phi = angular_map(profile).phi_at(theta)
     dm = mode_i.internal_m - mode_j.internal_m
-    wt = 2.0 * math.pi / n_theta
-    angular = wt * np.sum(r**2 * np.exp(1j * dm * (phi - eta)))
+    wt = 2.0 * math.pi / _N_THETA
+    angular = wt * np.sum(r**2 * np.exp(1j * dm * phi))
     return complex(radial * angular)
 
 

@@ -9,6 +9,7 @@ import pytest
 from magspec.cli import _parse_beta_range, main
 from magspec.functionals import verdicts_from_csv
 from magspec.pauli import PauliSpectrum
+from magspec.solver import solve
 from magspec.spectra import MagneticSpectrum
 
 
@@ -67,6 +68,27 @@ class TestFactors:
         assert "magspec factors: error:" in err and '"n"' in err
 
 
+@pytest.mark.parametrize("command, flag, payload", [
+    ("factors", "--domain", [1, 2]),
+    ("factors", "--domain", {"r0": None}),
+    ("factors", "--domain", {"r0": 1.0, "harmonics": [{"n": 2, "a": None}]}),
+    ("factors", "--domain", {"r0": 1.0, "harmonics": [{"n": 2.5, "a": 0.3}]}),
+    ("perturb", "--profile", {"p": {"2": 0.5}}),
+    ("perturb", "--profile", {"p": {"2.5": [0.5, 0.0]}}),
+    ("perturb", "--profile", [0.5]),
+], ids=["domain-list", "r0-null", "a-null", "n-fraction", "p-scalar",
+        "p-index-fraction", "profile-list"])
+def test_malformed_json_is_computation_error(capsys, tmp_path, command, flag, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, flag, str(path)] + (["--beta", "5"] if command == "perturb" else [])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"magspec {command}: error: ")
+    assert "must be" in captured.err
+
+
 class TestSpectrumCommands:
     def test_disk_csv_roundtrip(self, capsys, tmp_path):
         out_path = tmp_path / "disk.csv"
@@ -101,6 +123,22 @@ class TestSpectrumCommands:
         assert len(ps.entries) == 4
         assert set(ps.branches) <= {"spin_up", "spin_down"}
         assert ps.eigenvalues[0] > 0
+
+    def test_pauli_solves_exactly_n(self, capsys, monkeypatch, ellipse_json):
+        # n magnetic eigenvalues always certify n Pauli values
+        import magspec.cli
+        counts = []
+
+        def recorded(profile, cfg):
+            counts.append(cfg.n_eigs)
+            return solve(profile, cfg)
+
+        monkeypatch.setattr(magspec.cli, "solve", recorded)
+        code, out = run(capsys, ["pauli", "--domain", ellipse_json, "--beta", "5",
+                                 "--n", "6", "--nr", "16", "--nt", "32"])
+        assert code == 0
+        assert counts == [6]
+        assert len(PauliSpectrum.from_csv(out).entries) == 6
 
 
 @pytest.mark.parametrize("text", ["", "# magspec 0.1.0 disk\n\n"],

@@ -4,8 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from magspec.geometry import (RadiusProfile, angular_map, factors,
-                              load_profile, perturbation_factor_expansion)
+from magspec.geometry import RadiusProfile, angular_map, factors, load_profile
 from magspec.perturbation import PerturbationProfile
 
 
@@ -165,25 +164,28 @@ class TestAngularMap:
         assert np.allclose(angular_map(p).phi_at(grid), phi, rtol=0.0, atol=1e-10)
 
     def test_map_derivative(self):
+        # phi' = R^2 pi / A, by a fourth-order central difference of phi_at
         p = RadiusProfile(1.0, ((2, 0.2, 0.0),))
         am = angular_map(p)
         area = factors(p).area
-        theta = 0.63
-        assert am.phi_deriv_at(theta) == pytest.approx(
-            p.radius(theta) ** 2 * math.pi / area, rel=1e-12)
+        theta, h = 0.63, 1e-3
+        deriv = (am.phi_at(theta - 2 * h) - 8 * am.phi_at(theta - h)
+                 + 8 * am.phi_at(theta + h) - am.phi_at(theta + 2 * h)) / (12 * h)
+        assert deriv == pytest.approx(p.radius(theta) ** 2 * math.pi / area, rel=1e-9)
 
 
 class TestPerturbationExpansion:
+    # R = 1 + eps*P has G0 = 1 + 2 sum n^2 |p_n|^2 eps^2 + O(eps^3) and
+    # G1 = 1 + 8 sum |p_n|^2 eps^2 + O(eps^3)
     def test_single_cos_harmonic(self):
-        prof = PerturbationProfile({1: 0.5})
-        g0q, g1q = perturbation_factor_expansion(prof, 0.01)
-        assert g0q == pytest.approx(0.5, rel=1e-14)   # 2 * 1^2 * |1/2|^2
-        assert g1q == pytest.approx(2.0, rel=1e-14)   # 8 * |1/2|^2
+        f = factors(PerturbationProfile({1: 0.5}).to_radius_profile(0.01))
+        assert (f.g0 - 1) / 0.01**2 == pytest.approx(0.5, rel=1e-3)   # 2 * 1^2 * |1/2|^2
+        assert (f.g1 - 1) / 0.01**2 == pytest.approx(2.0, rel=1e-3)   # 8 * |1/2|^2
 
     def test_quadratic_slope_matches_exact_factors(self):
         # fit the eps^2 slope of the exact factors for P = cos(3 theta)
         prof = PerturbationProfile({3: 0.5})
-        g0q, g1q = perturbation_factor_expansion(prof, 0.01)
+        g0q, g1q = 2.0 * prof.sum_n2_sq, 8.0 * prof.sum_sq
         slopes = []
         for eps in (0.01, 0.005):
             f = factors(prof.to_radius_profile(eps))
@@ -192,8 +194,3 @@ class TestPerturbationExpansion:
         assert slopes[1][0] == pytest.approx(g0q, rel=1e-3)
         assert slopes[1][1] == pytest.approx(g1q, rel=1e-3)
         assert abs(slopes[1][0] - g0q) <= abs(slopes[0][0] - g0q) + 1e-12
-
-    def test_positivity_precondition(self):
-        prof = PerturbationProfile({1: 0.5})
-        with pytest.raises(ValueError):
-            perturbation_factor_expansion(prof, 1.5)  # 1 + eps*P touches zero

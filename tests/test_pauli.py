@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -7,7 +9,7 @@ from magspec.functionals import PhiFamily, phi_sum_values
 from magspec.geometry import RadiusProfile, factors
 from magspec.pauli import (InsufficientSpectrumError, pauli_spectrum,
                            verify_pauli_bounds)
-from magspec.solver import SolverConfig
+from magspec.solver import SolverConfig, solve
 from magspec.spectra import MagneticSpectrum
 
 FLOWER = RadiusProfile(1.0, ((5, 0.2, 0.0),))
@@ -54,6 +56,17 @@ class TestMerge:
             ps = pauli_spectrum(magnetic, 4)
             assert ps.eigenvalues[0] > 0
 
+    def test_exactly_n_magnetic_values_certify_n(self):
+        # the n-th merged value is at most lambda_n - |beta|/A, the floor
+        rng = random.Random(19)
+        for _ in range(40):
+            beta = rng.choice((-1, 1)) * 10 ** rng.uniform(-3, 2)
+            n = rng.randint(1, 20)
+            assert len(pauli_spectrum(disk_eigenvalues(beta, n), n).entries) == n
+        discrete = solve(FLOWER, SolverConfig(n_radial=16, n_angular=32,
+                                              beta=5.0, n_eigs=6))
+        assert len(pauli_spectrum(discrete, 6).entries) == 6
+
     def test_flux_sign_gives_same_multiset(self):
         plus = pauli_spectrum(disk_eigenvalues(5.0, 8), 6)
         minus = pauli_spectrum(disk_eigenvalues(-5.0, 8), 6)
@@ -87,6 +100,29 @@ class TestShiftedScale:
         lhs_direct = phi_sum_values(list(dom_ps.shifted_normalized),
                                     PhiFamily("identity"), n)
         assert verdicts[0].lhs == pytest.approx(lhs_direct, rel=1e-12)
+
+    def test_each_side_solves_exactly_n(self, monkeypatch):
+        # Both sides come from one domain_and_disk_spectra call with n values;
+        # the stub domain solve returns the analytic unit-disk spectrum.
+        import magspec.disk
+        import magspec.functionals
+        domain_counts, disk_counts = [], []
+
+        def disk_recorded(beta, n):
+            disk_counts.append(n)
+            return disk_eigenvalues(beta, n)
+
+        def domain_recorded(profile, cfg):
+            domain_counts.append(cfg.n_eigs)
+            exact = disk_eigenvalues(cfg.beta, cfg.n_eigs)
+            return dataclasses.replace(exact, error_bars=(1e-9,) * cfg.n_eigs)
+
+        monkeypatch.setattr(magspec.disk, "disk_eigenvalues", disk_recorded)
+        monkeypatch.setattr(magspec.functionals, "solve_with_error_bars",
+                            domain_recorded)
+        verdicts = verify_pauli_bounds(RadiusProfile(1.0), 5.0, 5)
+        assert domain_counts == [5] and disk_counts == [5]
+        assert all(v.holds and abs(v.margin) <= 1e-12 for v in verdicts)
 
     def test_bounds_hold_on_flower(self):
         cfg = SolverConfig(n_radial=32, n_angular=64, n_eigs=8)

@@ -140,6 +140,11 @@ class TestQuadraticBound:
         assert quadratic_bound(prof, eps).upper == pytest.approx(
             factors(prof.to_radius_profile(eps)).g, rel=1e-12)
 
+    def test_positivity_precondition(self):
+        prof = PerturbationProfile({1: 0.5})
+        with pytest.raises(ValueError):
+            quadratic_bound(prof, 1.5)  # 1 + eps*P touches zero
+
 
 class TestSlopeValidation:
     CFG = SolverConfig(n_radial=48, n_angular=96, n_eigs=1)
