@@ -261,8 +261,7 @@ def _cmd_perturb(args) -> int:
     with open(args.profile, "r", encoding="utf-8") as fh:
         pprofile = PerturbationProfile.from_dict(json.load(fh))
     eps_list = _parse_eps(args.eps)
-    cfg = SolverConfig(n_radial=args.nr, n_angular=args.nt, beta=abs(args.beta),
-                       n_eigs=1, tolerance=args.tol)
+    cfg = _solver_config(args, DIRICHLET, abs(args.beta), 1)
     report = slope_validation(args.beta, pprofile, eps_list, cfg)
     bounds = {f"{eps:g}": vars(quadratic_bound(pprofile, eps)) for eps in eps_list}
     payload = report.to_dict()

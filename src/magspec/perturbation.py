@@ -79,6 +79,8 @@ class PerturbationProfile:
     def __init__(self, p: Mapping[int, complex]):
         items = []
         for n, val in p.items():
+            if n != int(n):
+                raise ValueError(f"harmonic index must be an integer, got {n!r}")
             n = int(n)
             if n == 0:
                 raise ValueError("perturbation profiles must have p_0 = 0 (omit n=0)")
@@ -128,10 +130,14 @@ class PerturbationProfile:
         p = {}
         for key, val in coeffs.items():
             try:
+                n = int(key)
                 real, imag = val
-                p[int(key)] = complex(real, imag)
+                p_n = complex(real, imag)
             except (TypeError, ValueError):
                 raise ValueError(f"{form} with integer n, got {key!r}: {val!r}") from None
+            if n in p:
+                raise ValueError(f"{form} with distinct n, got {key!r} for n = {n} twice")
+            p[n] = p_n
         return cls(p)
 
 

@@ -13,9 +13,12 @@ F = (beta/2A)(-x2, x1) reads
 
 with mass form int u conj(v) s R^2 ds dtheta.  Assembly uses 2x2 Gauss
 quadrature per cell (the collapsed cells use the same rule; the measure
-s ds makes the center integrable), yielding a complex Hermitian stiffness
-matrix and a real SPD mass matrix.  Dirichlet fixes u = 0 on s = 1;
-Neumann is the natural condition.
+s ds makes the center integrable): at each point, g = L phi of the four
+local basis functions gives the stiffness block w conj(g) g^T + w_s phi_s
+phi_s^T and the mass block w phi phi^T (w = s R^2, w_s = s, times the
+quadrature weight).  K is complex Hermitian, and real at beta = 0 where
+the last term of L vanishes; M is real SPD.  Dirichlet fixes u = 0 on
+s = 1; Neumann is the natural condition.
 
 Smallest eigenpairs come from shift-invert Lanczos (scipy eigsh) with a
 fixed, seeded start vector so repeated runs are bit-identical and the
@@ -95,9 +98,9 @@ class SolverConfig:
         if not (0 < self.tolerance <= 1e-6):
             raise ValueError(f"tolerance must be in (0, 1e-6], got {self.tolerance}")
 
-    def refined(self, factor: int = 2) -> "SolverConfig":
-        return replace(self, n_radial=self.n_radial * factor,
-                       n_angular=self.n_angular * factor)
+    def refined(self) -> "SolverConfig":
+        return replace(self, n_radial=2 * self.n_radial,
+                       n_angular=2 * self.n_angular)
 
     def coarsened(self) -> "SolverConfig":
         """The half-resolution Richardson partner, clamped to the legal minimum.
@@ -135,7 +138,7 @@ def _shape_values(xi: float, zeta: float):
 
 
 def _assemble(profile: RadiusProfile, beta: float, nr: int, nt: int):
-    """Stiffness (complex Hermitian) and mass (real) matrices plus node map."""
+    """Stiffness (complex Hermitian) and mass (real) matrices, and the area."""
     hs, ht = 1.0 / nr, 2.0 * math.pi / nt
     area = factors(profile).area
     n_nodes = 1 + nr * nt
@@ -150,43 +153,27 @@ def _assemble(profile: RadiusProfile, beta: float, nr: int, nt: int):
     n3 = np.where(ii == 0, 0, ring(ii, jp1))
     conn = np.stack([b.ravel() for b in
                      np.broadcast_arrays(n0, n1, n2, n3)], axis=1)  # (ncell, 4)
-    ncell = conn.shape[0]
 
-    k_local = np.zeros((ncell, 4, 4), dtype=complex)
-    m_local = np.zeros((ncell, 4, 4), dtype=float)
+    # local matrices indexed (cell ring, cell sector, p, q)
+    k_local = np.zeros((nr, nt, 4, 4), dtype=complex)
+    m_local = np.zeros((nr, nt, 4, 4), dtype=float)
     cell_w = 0.25 * hs * ht
 
     for xi, zeta in _GPTS:
-        nsh, dxi, dzeta = _shape_values(xi, zeta)
+        phi, dxi, dzeta = _shape_values(xi, zeta)
         d_s = (2.0 / hs) * dxi      # (4,)
         d_t = (2.0 / ht) * dzeta
-        s_g = (ii.ravel() + 0.5 * (1 + xi)) * hs          # (nr,)
-        t_g = (np.arange(nt) + 0.5 * (1 + zeta)) * ht     # (nt,)
-        r = profile.radius(t_g)
-        rp = profile.radius_deriv(t_g)
-        s2 = s_g[:, None]
-        a = 1.0 / (s2 * r[None, :])
-        b = (rp / r**2)[None, :] * np.ones_like(s2)
-        c = (beta / (2.0 * area)) * s2 * r[None, :]
-        w = cell_w * s2 * (r**2)[None, :]
-        w_rad = (cell_w * s2 * np.ones_like(r)[None, :]).ravel()
-        a2w = (a * a * w).ravel()
-        b2w = (b * b * w).ravel()
-        c2w = (c * c * w).ravel()
-        abw = (a * b * w).ravel()
-        acw = (a * c * w).ravel()
-        bcw = (b * c * w).ravel()
-        for p in range(4):
-            for q in range(4):
-                real = (a2w * (d_t[p] * d_t[q])
-                        + b2w * (d_s[p] * d_s[q])
-                        + c2w * (nsh[p] * nsh[q])
-                        - abw * (d_s[p] * d_t[q] + d_t[p] * d_s[q])
-                        + w_rad * (d_s[p] * d_s[q]))
-                imag = (acw * (d_t[q] * nsh[p] - nsh[q] * d_t[p])
-                        + bcw * (nsh[q] * d_s[p] - d_s[q] * nsh[p]))
-                k_local[:, p, q] += real + 1j * imag
-                m_local[:, p, q] += (w.ravel()) * (nsh[p] * nsh[q])
+        s = ((np.arange(nr) + 0.5 * (1 + xi)) * hs)[:, None, None]  # (nr, 1, 1)
+        t = (np.arange(nt) + 0.5 * (1 + zeta)) * ht
+        r = profile.radius(t)[:, None]                              # (nt, 1)
+        a = 1.0 / (s * r)
+        b = profile.radius_deriv(t)[:, None] / r**2
+        c = (beta / (2.0 * area)) * s * r
+        g = 1j * (a * d_t - b * d_s) + c * phi   # L of the four basis functions
+        w = (cell_w * s * r**2)[..., None]
+        k_local += w * g.conj()[..., :, None] * g[..., None, :]
+        k_local.real += (cell_w * s)[..., None] * np.outer(d_s, d_s)
+        m_local += w * np.outer(phi, phi)
 
     rows = np.repeat(conn, 4, axis=1).ravel()
     cols = np.tile(conn, (1, 4)).ravel()
@@ -322,7 +309,7 @@ def dominant_angular_mode(spectrum: MagneticSpectrum, which: int = 0) -> int:
     """
     if spectrum.eigenvectors is None or spectrum.mesh is None:
         raise ValueError("spectrum carries no eigenvectors")
-    nr, nt = spectrum.mesh["n_radial"], spectrum.mesh["n_angular"]
+    nt = spectrum.mesh["n_angular"]
     vec = spectrum.eigenvectors[:, which]
     n_rings = (len(vec) - 1) // nt
     ring = vec[1 + (n_rings - 1) * nt: 1 + n_rings * nt]

@@ -15,6 +15,7 @@ from .geometry import RadiusProfile
 _W = 640
 _H = 480
 _PAD = 40
+_OUTLINE_POINTS = 720
 
 
 def _header(title: str) -> list:
@@ -44,9 +45,9 @@ def _scaled(xs, ys):
     return list(zip(px, py))
 
 
-def domain_outline_svg(profile: RadiusProfile, n_points: int = 720) -> str:
+def domain_outline_svg(profile: RadiusProfile) -> str:
     """Closed boundary polyline of the starlike domain, isotropically scaled."""
-    theta = np.linspace(0.0, 2 * math.pi, n_points + 1)
+    theta = np.linspace(0.0, 2 * math.pi, _OUTLINE_POINTS + 1)
     r = profile.radius(theta)
     x, y = r * np.cos(theta), r * np.sin(theta)
     span = max(x.max() - x.min(), y.max() - y.min()) or 1.0

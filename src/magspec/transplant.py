@@ -28,17 +28,19 @@ the discrete eigensolver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .disk import (DiskMode, _angular_coefficient, angular_energy_fraction,
-                   disk_eigenvalues, disk_radial_factors, disk_radial_profile,
-                   normalization_constant)
+                   disk_radial_factors, disk_radial_profile, normalization_constant)
+from .functionals import domain_and_disk_spectra
 from .geometry import RadiusProfile, angular_map, factors
 from .quadrature import panel_nodes
+# solve_with_error_bars is unused here; perfbench's tracer wraps this binding
 from .solver import SolverConfig, solve_with_error_bars
+from .spectra import DIRICHLET
 
 __all__ = [
     "TransplantReport",
@@ -71,13 +73,13 @@ class TransplantReport:
 
 
 def transplant_identity(profile: RadiusProfile, mode: DiskMode,
-                        n_eta: int = 64, n_theta: int = _N_THETA) -> TransplantReport:
+                        n_eta: int = 64) -> TransplantReport:
     """Energy split Q1, Q2, Q3 of one transplanted mode, compared with the
     geometric-factor identity.
 
     The split is the same for every rotation eta, so the result does not
-    depend on n_eta, which must still be >= 1.  The theta-means use n_theta
-    nodes and G0, G1 come from max(n_theta, 4096) nodes;
+    depend on n_eta, which must still be >= 1.  The theta-means use
+    _N_THETA nodes and G0, G1 come from factors(profile);
     identity_residual = |Q1 - G0 * E_rad| + |Q3 - G1 * E_ang|.
     """
     if n_eta < 1:
@@ -87,10 +89,10 @@ def transplant_identity(profile: RadiusProfile, mode: DiskMode,
     f, fp = (c * v for v in disk_radial_factors(mode, s))
     ang_coef = _angular_coefficient(mode, s)
 
-    theta = np.arange(n_theta) * (2.0 * math.pi / n_theta)
+    theta = np.arange(_N_THETA) * (2.0 * math.pi / _N_THETA)
     r = profile.radius(theta)
     rp = profile.radius_deriv(theta)
-    geo = factors(profile, n_theta=max(n_theta, 4096))
+    geo = factors(profile)
     area = geo.area
 
     e_rad = 2.0 * math.pi * float(np.dot(ws * s, fp**2))
@@ -155,16 +157,14 @@ class SumBoundChain:
 
 def sum_bound_chain(profile: RadiusProfile, beta: float, n: int,
                     cfg: Optional[SolverConfig] = None) -> SumBoundChain:
-    """Evaluate both ends of the sum bound plus the per-mode intermediate."""
-    if cfg is None:
-        cfg = SolverConfig(n_radial=64, n_angular=128, beta=beta, n_eigs=n)
-    else:
-        cfg = replace(cfg, bc="dirichlet", beta=beta, n_eigs=n)
-    geo = factors(profile)
-    domain = solve_with_error_bars(profile, cfg)
-    bar = sum(b * domain.area for b in domain.error_bars[:n]) / geo.g
+    """Evaluate both ends of the sum bound plus the per-mode intermediate.
 
-    disk_side = disk_eigenvalues(beta, n)
+    Both spectra come from domain_and_disk_spectra, as for the Dirichlet
+    verdicts: the domain side is solved with max(cfg.n_eigs, n) eigenpairs.
+    """
+    domain, disk_side = domain_and_disk_spectra(profile, beta, DIRICHLET, n, cfg)
+    geo = factors(profile)
+    bar = sum(b * domain.area for b in domain.error_bars[:n]) / geo.g
     alphas = tuple(angular_energy_fraction(md) for md in disk_side.modes)
     lhs = sum(domain.normalized[:n]) / geo.g
     inter = math.pi * sum(

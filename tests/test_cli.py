@@ -75,9 +75,10 @@ class TestFactors:
     ("factors", "--domain", {"r0": 1.0, "harmonics": [{"n": 2.5, "a": 0.3}]}),
     ("perturb", "--profile", {"p": {"2": 0.5}}),
     ("perturb", "--profile", {"p": {"2.5": [0.5, 0.0]}}),
+    ("perturb", "--profile", {"p": {"2": [0.5, 0.0], "02": [0.25, 0.0]}}),
     ("perturb", "--profile", [0.5]),
 ], ids=["domain-list", "r0-null", "a-null", "n-fraction", "p-scalar",
-        "p-index-fraction", "profile-list"])
+        "p-index-fraction", "p-index-duplicate", "profile-list"])
 def test_malformed_json_is_computation_error(capsys, tmp_path, command, flag, payload):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))

@@ -57,6 +57,15 @@ class TestProfile:
         with pytest.raises(ValueError):
             PerturbationProfile({1: 0.5}).to_radius_profile(1.2)
 
+    def test_rejects_non_integer_index(self):
+        with pytest.raises(ValueError, match="integer"):
+            PerturbationProfile({2.5: 0.5})
+        assert PerturbationProfile({2.0: 0.5}).p == ((2, 0.5 + 0j),)
+
+    def test_from_dict_rejects_duplicate_index(self):
+        with pytest.raises(ValueError, match="distinct n"):
+            PerturbationProfile.from_dict({"p": {"2": [0.5, 0], "02": [0.25, 0]}})
+
 
 class TestCoefficientC:
     def test_ground_root_and_sign(self):

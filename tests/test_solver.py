@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from magspec.corpus import corpus_entry
 from magspec.disk import disk_eigenvalues
-from magspec.geometry import RadiusProfile
+from magspec.geometry import RadiusProfile, factors
 from magspec.kummer import bessel_j_zero
-from magspec.solver import (_EIG_SEED, SolverConfig, _assemble, _dof_selection,
+from magspec.solver import (_EIG_SEED, _GPTS, SolverConfig, _assemble, _dof_selection,
+                            _shape_values,
                             convergence_study, observed_orders, solve,
                             solve_with_error_bars)
 from magspec.spectra import MagneticSpectrum
@@ -86,6 +90,12 @@ class TestInvariances:
         stiff, mass, _ = _assemble(ELLIPSE, 4.0, 12, 24)
         assert abs(stiff - stiff.conjugate().transpose()).max() < 1e-12
         assert abs(mass - mass.transpose()).max() < 1e-14
+
+    def test_zero_flux_stiffness_is_real(self):
+        # at beta = 0 the magnetic term c of L vanishes, so K has no imaginary part
+        for name in ("flower_5", "ellipse_060"):
+            stiff, _, _ = _assemble(corpus_entry(name).profile, 0.0, 16, 32)
+            assert not np.any(stiff.data.imag)
 
     def test_flux_sign_symmetry(self):
         cfg = coarse(beta=4.0, n_eigs=3)
@@ -196,3 +206,72 @@ class TestShiftInvertFactorization:
         assert spec.stats.lu_fill > 0
         assert "stats" not in repr(spec)
         assert MagneticSpectrum.from_csv(spec.to_csv()).stats is None
+
+
+def _expanded_stiffness(profile, beta, nr, nt):
+    """Reference K: the magnetic form expanded into real and imaginary
+    products per local pair (p, q), as assembled before the rank-one form."""
+    hs, ht = 1.0 / nr, 2.0 * math.pi / nt
+    area = factors(profile).area
+    ii, jj = np.arange(nr)[:, None], np.arange(nt)[None, :]
+    ring = lambda i, j: 1 + (i - 1) * nt + j
+    corners = (np.where(ii == 0, 0, ring(ii, jj)), ring(ii + 1, jj),
+               ring(ii + 1, (jj + 1) % nt), np.where(ii == 0, 0, ring(ii, (jj + 1) % nt)))
+    conn = np.stack([c.ravel() for c in np.broadcast_arrays(*corners)], axis=1)
+    k_local = np.zeros((nr * nt, 4, 4), dtype=complex)
+    for xi, zeta in _GPTS:
+        nsh, dxi, dzeta = _shape_values(xi, zeta)
+        d_s, d_t = (2.0 / hs) * dxi, (2.0 / ht) * dzeta
+        s2 = ((np.arange(nr) + 0.5 * (1 + xi)) * hs)[:, None]
+        t_g = (np.arange(nt) + 0.5 * (1 + zeta)) * ht
+        r, rp = profile.radius(t_g)[None, :], profile.radius_deriv(t_g)[None, :]
+        a, b, c = 1.0 / (s2 * r), rp / r**2 + 0 * s2, (beta / (2.0 * area)) * s2 * r
+        w, w_rad = 0.25 * hs * ht * s2 * r**2, 0.25 * hs * ht * s2 + 0 * r
+        for p in range(4):
+            for q in range(4):
+                real = (a * a * w * d_t[p] * d_t[q] + b * b * w * d_s[p] * d_s[q]
+                        + c * c * w * nsh[p] * nsh[q]
+                        - a * b * w * (d_s[p] * d_t[q] + d_t[p] * d_s[q])
+                        + w_rad * d_s[p] * d_s[q])
+                imag = (a * c * w * (d_t[q] * nsh[p] - nsh[q] * d_t[p])
+                        + b * c * w * (nsh[q] * d_s[p] - d_s[q] * nsh[p]))
+                k_local[:, p, q] += (real + 1j * imag).ravel()
+    rows, cols = np.repeat(conn, 4, axis=1).ravel(), np.tile(conn, (1, 4)).ravel()
+    return sp.coo_matrix((k_local.ravel(), (rows, cols)),
+                         shape=(1 + nr * nt,) * 2).tocsr()
+
+
+class TestPinnedEigenvalues:
+    """16x32 eigenvalues recorded from the 16-term expansion of the stiffness
+    form that the rank-one assembly replaced; the two must agree to 1e-10."""
+
+    PINNED = {
+        ("flower_5", "dirichlet", 0.0): (7.101838646626235, 17.327605815992996,
+                                         17.348184444612272, 28.688186417751233),
+        ("flower_5", "dirichlet", 5.0): (7.213578080268549, 16.04146665181895,
+                                         18.95362520471756, 26.70096241698886),
+        ("flower_5", "neumann", 5.0): (0.23848674892691113, 2.1061480190666773,
+                                       4.217986226205177, 5.260097158441209),
+        ("ellipse_060", "dirichlet", 0.0): (7.070503423833148, 12.071330874707964,
+                                            21.20973524579386, 23.277871829018654),
+        ("ellipse_060", "dirichlet", 5.0): (7.184746763271011, 12.060266125551063,
+                                            20.84328978265298, 23.614805556783754),
+        ("ellipse_060", "neumann", 5.0): (0.2593267289925736, 1.7412634241452867,
+                                          6.0182289720234134, 6.477451826073125),
+    }
+
+    @pytest.mark.parametrize("name,beta", [("flower_5", 0.0), ("flower_5", 5.0),
+                                           ("ellipse_060", 20.0)])
+    def test_stiffness_matches_expanded_form(self, name, beta):
+        profile = corpus_entry(name).profile
+        stiff = _assemble(profile, beta, 16, 32)[0]
+        ref = _expanded_stiffness(profile, beta, 16, 32)
+        # the centre row sums O(1/s) local entries that cancel, so compare
+        # against max|K| with a few thousand float64 ulps of slack
+        assert abs(stiff - ref).max() <= 1e-12 * abs(ref).max()
+
+    @pytest.mark.parametrize("name,bc,beta", sorted(PINNED))
+    def test_matches_recorded_values(self, name, bc, beta):
+        spec = solve(corpus_entry(name).profile, coarse(beta=beta, bc=bc))
+        np.testing.assert_allclose(spec.eigenvalues, self.PINNED[name, bc, beta],
+                                   rtol=1e-10, atol=0)

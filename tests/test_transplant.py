@@ -21,7 +21,7 @@ FLOWER = RadiusProfile(1.0, ((5, 0.2, 0.0),))
 class TestIdentity:
     def test_on_the_disk_map_is_identity(self):
         mode = disk_eigenvalues(5.0, 1).modes[0]
-        rep = transplant_identity(DISK, mode, n_eta=8, n_theta=512)
+        rep = transplant_identity(DISK, mode, n_eta=8)
         assert rep.g0 == 1.0 and rep.g1 == 1.0
         assert rep.q2_avg == 0.0
         assert rep.identity_residual <= 1e-8
@@ -33,19 +33,19 @@ class TestIdentity:
         spec = disk_eigenvalues(5.0, 3)
         for profile in (ELLIPSE, FLOWER):
             for mode in spec.modes[:2]:
-                rep = transplant_identity(profile, mode, n_eta=16, n_theta=512)
+                rep = transplant_identity(profile, mode, n_eta=16)
                 assert abs(rep.q2_avg) <= 1e-8
 
     def test_identity_residual_ellipse(self):
         spec = disk_eigenvalues(5.0, 2)
         for mode in spec.modes:
-            rep = transplant_identity(ELLIPSE, mode, n_eta=64, n_theta=1024)
+            rep = transplant_identity(ELLIPSE, mode, n_eta=64)
             assert rep.identity_residual <= 1e-6
 
     def test_eta_refinement_stable(self):
         mode = disk_eigenvalues(5.0, 2).modes[1]
-        rep1 = transplant_identity(FLOWER, mode, n_eta=32, n_theta=1024)
-        rep2 = transplant_identity(FLOWER, mode, n_eta=64, n_theta=1024)
+        rep1 = transplant_identity(FLOWER, mode, n_eta=32)
+        rep2 = transplant_identity(FLOWER, mode, n_eta=64)
         assert abs(rep1.q1_avg - rep2.q1_avg) < 1e-10
         assert abs(rep1.q3_avg - rep2.q3_avg) < 1e-10
 
@@ -53,12 +53,12 @@ class TestIdentity:
     def test_rejects_nonpositive_n_eta(self, n_eta):
         mode = disk_eigenvalues(5.0, 1).modes[0]
         with pytest.raises(ValueError, match="n_eta"):
-            transplant_identity(ELLIPSE, mode, n_eta=n_eta, n_theta=64)
+            transplant_identity(ELLIPSE, mode, n_eta=n_eta)
 
     def test_mass_is_area_over_pi(self):
         mode = disk_eigenvalues(5.0, 1).modes[0]
         for profile in (ELLIPSE, FLOWER):
-            rep = transplant_identity(profile, mode, n_eta=8, n_theta=1024)
+            rep = transplant_identity(profile, mode, n_eta=8)
             expect = factors(profile).area / math.pi
             assert rep.mass == pytest.approx(expect, abs=1e-8)
 
