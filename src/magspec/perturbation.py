@@ -20,7 +20,8 @@ slope_validation measures the eps^2 coefficient with the discrete solver.
 The measured slope is formed against the same-mesh disk eigenvalue
 (lambda_h(eps) A_eps - lambda_h(0) pi) / eps^2, which cancels the common
 discretization bias, then Richardson-extrapolated across two mesh levels
-and linearly extrapolated in eps.
+and extrapolated to eps = 0: in eps^2 for a single harmonic, where
+lambda(eps) is even, and as a quadratic in eps when harmonics mix.
 """
 
 from __future__ import annotations
@@ -283,11 +284,13 @@ def slope_validation(beta: float, profile: PerturbationProfile,
                     for lv, d0 in zip(levels, disk_vals)]
         slopes.append(y_levels[1] + (y_levels[1] - y_levels[0]) / 3.0)
 
-    if len(eps_list) >= 2:  # linear-in-eps extrapolation absorbs the O(eps^3) term
-        coeffs = np.polyfit(np.asarray(eps_list), np.asarray(slopes), 1)
-        measured = float(coeffs[1])
-    else:
-        measured = slopes[0]
+    # One harmonic n: rotating by pi/n maps eps to -eps, so lambda(eps) is even
+    # and the slopes go as a + b eps^2.  Mixed harmonics keep an eps^3 term in
+    # lambda: a + b eps + c eps^2.  The degree drops to what the eps values fix.
+    single = len(profile.p) == 1
+    x = np.asarray(eps_list) ** (2 if single else 1)
+    degree = min(1 if single else 2, len(x) - 1)
+    measured = float(np.polyfit(x, np.asarray(slopes), degree)[-1])
     mismatch = abs(measured - predicted) / max(abs(predicted), 1e-12)
     return PerturbationReport(beta=b0, lambda0=lam0, a0=a0, z=z, c=c, q=q,
                               predicted_slope=predicted, measured_slope=measured,

@@ -23,14 +23,28 @@ s = 1; Neumann is the natural condition.
 Smallest eigenpairs come from shift-invert Lanczos (scipy eigsh) with a
 fixed, seeded start vector so repeated runs are bit-identical and the
 Krylov space is not confined to a rotation-symmetry sector on symmetric
-meshes.  The solver owns the shift-invert factorization: it factors
-K - sigma M once with SuperLU under the minimum-degree ordering of
+meshes.  eigsh hands a complex Hermitian problem to the non-Hermitian
+Arnoldi routine, so the solver first looks for an exact symmetry that
+makes the problem real.  At beta = 0, K is real and is solved as it is.
+If K commutes with T u = P conj(u), P the node mirror (i, j) <-> (i, -j),
+as on any domain with R(-theta) = R(theta), a sparse unitary Q with
+T-invariant columns makes Q^H K Q and Q^H M Q real, and their real parts
+are solved; eigenvectors map back as u = Q y.  Any other problem stays
+complex.  The real routes take the real part of the start vector.  At
+64x128, on one core of a 2-vCPU VM, they roughly halve the eigsh time and
+cut a Neumann verdict request's peak memory from 114 to 90 MB.
+Residuals are always checked on the complex K and M.
+
+The solver owns the shift-invert factorization: it factors K - sigma M
+once with SuperLU in symmetric mode under the minimum-degree ordering of
 A^T + A and hands the triangular solves to eigsh.  The sesquilinear form
 gives a Hermitian K and a symmetric M, so the sparsity pattern is
 symmetric, and this ordering leaves half the LU fill of the COLAMD
-column ordering eigsh would otherwise use (0.53M against 1.03M entries
-at 64x128), which halves the factorization and every solve.  Each
-discrete spectrum records the fill in a SolveStats record.
+column ordering eigsh would otherwise use (0.53M against 1.03M complex
+entries at 64x128), which halves the factorization and every solve.  The
+folded mirror operator couples each node with its mirror image and
+stores 0.83M real entries (0.95M without symmetric mode).  Each discrete
+spectrum records the route and the fill in a SolveStats record.
 """
 
 from __future__ import annotations
@@ -117,10 +131,13 @@ class SolveStats:
     """How one discrete spectrum was computed.
 
     lu_fill counts the entries SuperLU stores for the L and U factors of
-    the shift-invert operator together.
+    the shift-invert operator together.  arithmetic names the route:
+    "real" (K itself, beta = 0), "mirror" (the folded real basis of a
+    mirror-symmetric domain) or "complex".
     """
 
     lu_fill: int
+    arithmetic: str
 
 
 _GAUSS = 1.0 / math.sqrt(3.0)
@@ -191,6 +208,42 @@ def _dof_selection(bc: str, nr: int, nt: int) -> np.ndarray:
     return np.arange(n_nodes)
 
 
+def _real_form(stiff, mass, nt: int):
+    """The arithmetic an exact symmetry allows: (name, lhs, rhs, basis).
+
+    "real" when K has no imaginary part (beta = 0): K and M themselves.
+    "mirror" when K commutes with T u = P conj(u), P the node mirror
+    (i, j) <-> (i, -j mod nt), as for any profile with R(-theta) = R(theta):
+    the sparse unitary Q has T-invariant columns, so Q^H K Q and Q^H M Q are
+    real up to rounding, and their real parts are solved; an eigenvector y
+    maps back as Q y.  A node P fixes (the centre, j = 0 and j = nt/2)
+    keeps e_a; a pair a < b = P(a) gives (e_a + e_b)/sqrt2 at column a and
+    i(e_a - e_b)/sqrt2 at column b.  "complex" otherwise.
+    """
+    if not np.any(stiff.data.imag):
+        return "real", stiff.real, mass, None
+    node = np.arange(stiff.shape[0])
+    j = (node - 1) % nt
+    mirror = np.where(node == 0, 0, node - j + (-j) % nt)
+    if abs(stiff - stiff[mirror][:, mirror].conj()).max() > 1e-13 * abs(stiff).max():
+        return "complex", stiff, mass, None
+    h = math.sqrt(0.5)
+    pair = node != mirror
+    diag = np.where(node < mirror, h, np.where(pair, -1j * h, 1.0))
+    off = np.where(node[pair] < mirror[pair], h, 1j * h)
+    basis = sp.csc_matrix((np.concatenate([diag, off]),
+                           (np.concatenate([node, mirror[pair]]),
+                            np.concatenate([node, node[pair]]))),
+                          shape=stiff.shape)
+
+    def fold(matrix):
+        folded = (basis.conj().transpose() @ matrix @ basis).real
+        # exactly symmetric, and the sum stores none of the zeros .real keeps
+        return (folded + folded.transpose()) * 0.5
+
+    return "mirror", fold(stiff), fold(mass), basis
+
+
 def solve(profile: RadiusProfile, cfg: SolverConfig) -> MagneticSpectrum:
     """Lowest n_eigs eigenvalues of (i grad + F)^2 on the profile's domain."""
     stiff, mass, area = _assemble(profile, cfg.beta, cfg.n_radial, cfg.n_angular)
@@ -216,16 +269,22 @@ def solve(profile: RadiusProfile, cfg: SolverConfig) -> MagneticSpectrum:
     else:
         sigma = 0.0
 
-    op = stiff - sigma * mass if sigma else stiff
-    lu = spla.splu(op.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    arithmetic, lhs, rhs, basis = _real_form(stiff, mass, cfg.n_angular)
+    op = lhs - sigma * rhs if sigma else lhs
+    lu = spla.splu(op.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   options=dict(SymmetricMode=True))
     opinv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=op.dtype)
     rng = np.random.default_rng(_EIG_SEED)
     v0 = rng.standard_normal(ndof) + 1j * rng.standard_normal(ndof)
+    if arithmetic != "complex":
+        v0 = v0.real
     try:
-        vals, vecs = spla.eigsh(stiff, k=k, M=mass, sigma=sigma, which="LM",
+        vals, vecs = spla.eigsh(lhs, k=k, M=rhs, sigma=sigma, which="LM",
                                 v0=v0, tol=0, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise EigenSolveError(f"shift-invert iteration failed: {exc}") from exc
+    if basis is not None:
+        vecs = basis @ vecs
     order = np.argsort(vals, kind="stable")
     vals, vecs = vals[order], vecs[:, order]
 
@@ -246,7 +305,7 @@ def solve(profile: RadiusProfile, cfg: SolverConfig) -> MagneticSpectrum:
         eigenvectors=vecs,
         mesh={"n_radial": cfg.n_radial, "n_angular": cfg.n_angular,
               "bc": cfg.bc, "kept": keep},
-        stats=SolveStats(lu_fill=lu.nnz))
+        stats=SolveStats(lu_fill=lu.nnz, arithmetic=arithmetic))
 
 
 @lru_cache(maxsize=64)

@@ -17,6 +17,8 @@ from magspec.spectra import MagneticSpectrum
 
 DISK = RadiusProfile(1.0)
 ELLIPSE = RadiusProfile(1.0, ((2, 0.15, 0.0),))
+# flower_5 turned by 0.06 rad: no mirror axis at theta = 0
+TURNED_FLOWER = RadiusProfile(1.0, ((5, 0.2 * math.cos(0.3), 0.2 * math.sin(0.3)),))
 
 
 def coarse(beta=0.0, bc="dirichlet", n_eigs=4, nr=16, nt=32):
@@ -170,9 +172,21 @@ class TestShiftInvertFactorization:
     @pytest.mark.parametrize("nr, nt, ceiling", [(64, 128, 0.6e6), (96, 192, 1.4e6)])
     def test_lu_fill_is_symmetric_ordering(self, nr, nt, ceiling):
         # COLAMD, the column ordering eigsh uses on its own, stores 1.03M
-        # and 2.70M entries on these meshes.
+        # and 2.70M entries on these meshes.  The flower is turned off its
+        # mirror axis, so the complex route runs; its fill depends on the
+        # pattern only.
         cfg = SolverConfig(n_radial=nr, n_angular=nt, beta=5.0, n_eigs=1)
-        assert solve(self.FLOWER, cfg).stats.lu_fill <= ceiling
+        spec = solve(TURNED_FLOWER, cfg)
+        assert spec.stats.arithmetic == "complex"
+        assert spec.stats.lu_fill <= ceiling
+
+    def test_mirror_fill_is_symmetric_mode(self):
+        # The folded real operator stores 0.83M entries at 64x128 when SuperLU
+        # runs in symmetric mode and 0.95M without it.
+        cfg = SolverConfig(n_radial=64, n_angular=128, beta=5.0, n_eigs=1)
+        spec = solve(self.FLOWER, cfg)
+        assert spec.stats.arithmetic == "mirror"
+        assert spec.stats.lu_fill <= 0.9e6
 
     @pytest.mark.parametrize("bc, beta", [("dirichlet", 0.0), ("dirichlet", 5.0),
                                           ("neumann", 5.0)])
@@ -199,13 +213,84 @@ class TestShiftInvertFactorization:
         assert first.stats == second.stats
         assert first.stats.lu_fill > 1 + 24 * 48
         assert first.eigenvalues == second.eigenvalues
+        assert first.stats.arithmetic == "mirror"
         assert solve_with_error_bars(self.FLOWER, cfg).stats == first.stats
 
     def test_record_stays_out_of_outputs(self):
         spec = solve(DISK, coarse(beta=5.0, n_eigs=2))
         assert spec.stats.lu_fill > 0
-        assert "stats" not in repr(spec)
+        assert "stats" not in repr(spec) and "mirror" not in spec.to_csv()
         assert MagneticSpectrum.from_csv(spec.to_csv()).stats is None
+
+
+def _complex_operator(profile, bc, beta, nr, nt):
+    """K and M on the kept unknowns, as solve forms them before any folding."""
+    stiff, mass, area = _assemble(profile, beta, nr, nt)
+    keep = _dof_selection(bc, nr, nt)
+    stiff, mass = stiff[keep][:, keep], mass[keep][:, keep]
+    stiff = (stiff + stiff.conjugate().transpose()) * 0.5
+    mass = (mass + mass.transpose()) * 0.5
+    return stiff, mass, area
+
+
+class TestArithmetic:
+    """An exact symmetry lets solve run in real arithmetic: K itself at
+    beta = 0, and a folded real basis on mirror-symmetric domains."""
+
+    CASES = [("dirichlet", 0.0), ("dirichlet", 5.0), ("dirichlet", -5.0),
+             ("neumann", 5.0)]
+
+    @pytest.mark.parametrize("bc, beta", CASES)
+    @pytest.mark.parametrize("name", ["flower_5", "disk"])
+    def test_agrees_with_complex_eigsh(self, name, bc, beta):
+        profile = corpus_entry(name).profile
+        cfg = SolverConfig(n_radial=32, n_angular=64, bc=bc, beta=beta, n_eigs=8)
+        spec = solve(profile, cfg)
+        assert spec.stats.arithmetic == ("real" if beta == 0.0 else "mirror")
+        stiff, mass, area = _complex_operator(profile, bc, beta, 32, 64)
+        sigma = -(0.5 * abs(beta) + 0.1) / area if bc == "neumann" else 0.0
+        lu = spla.splu((stiff - sigma * mass).tocsc())
+        opinv = spla.LinearOperator(stiff.shape, matvec=lu.solve, dtype=complex)
+        rng = np.random.default_rng(_EIG_SEED)
+        v0 = rng.standard_normal(stiff.shape[0]) + 1j * rng.standard_normal(stiff.shape[0])
+        ref = np.sort(spla.eigsh(stiff, k=8, M=mass, sigma=sigma, v0=v0, tol=0,
+                                 OPinv=opinv, return_eigenvectors=False))
+        np.testing.assert_allclose(spec.eigenvalues, ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bc, beta", CASES)
+    def test_mapped_vectors_solve_the_complex_problem(self, bc, beta):
+        profile = corpus_entry("ellipse_060").profile
+        spec = solve(profile, SolverConfig(n_radial=32, n_angular=64, bc=bc,
+                                           beta=beta, n_eigs=6))
+        stiff, mass, _ = _complex_operator(profile, bc, beta, 32, 64)
+        vecs, vals = spec.eigenvectors, np.array(spec.eigenvalues)
+        resid = np.linalg.norm(stiff @ vecs - (mass @ vecs) * vals, axis=0)
+        assert np.all(resid <= 1e-10 * vals.max() * np.linalg.norm(vecs, axis=0))
+        # distinct vectors, M-orthogonal: no eigenvalue is found twice
+        gram = vecs.conj().T @ (mass @ vecs)
+        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
+
+    def test_route_follows_the_symmetry(self):
+        grid = np.arange(256) * (2 * np.pi / 256)
+        sampled = RadiusProfile.from_samples(np.sqrt(1 + 0.3 * np.cos(2 * grid)))
+        tilted = RadiusProfile(1.0, ((2, 0.15, 1e-6),))
+        cfg = coarse(beta=5.0, n_eigs=2)
+        assert solve(sampled, cfg).stats.arithmetic == "mirror"
+        assert solve(tilted, cfg).stats.arithmetic == "complex"
+        assert solve(TURNED_FLOWER, cfg).stats.arithmetic == "complex"
+        for profile in (sampled, tilted, TURNED_FLOWER, DISK):
+            assert solve(profile, coarse(n_eigs=2)).stats.arithmetic == "real"
+            assert solve(profile, coarse(bc="neumann", n_eigs=2)).stats.arithmetic == "real"
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_dominant_modes_of_the_disk(self, beta):
+        # each vector's |m| is that of the analytic mode, also across the
+        # double eigenvalues of beta = 0, where any basis of the pair is valid
+        from magspec.solver import dominant_angular_mode
+        spec = solve(DISK, coarse(beta=beta, n_eigs=8, nr=24, nt=48))
+        modes = disk_eigenvalues(beta, 8).modes
+        assert [dominant_angular_mode(spec, j) for j in range(8)] == \
+            [abs(mode.m) for mode in modes]
 
 
 def _expanded_stiffness(profile, beta, nr, nt):
