@@ -17,7 +17,7 @@ from .disk import (DiskMode, angular_energy_fraction, disk_eigenvalues,
                    disk_radial_profile)
 from .solver import SolverConfig, convergence_study, solve
 from .functionals import (BoundVerdict, PhiFamily, majorization_check,
-                          phi_sum, verify_bounds)
+                          verify_bounds)
 from .transplant import sum_bound_chain, transplant_identity
 from .perturbation import (PerturbationProfile, PerturbationReport,
                            coefficient_c, quadratic_bound, q_coefficient,
@@ -32,8 +32,7 @@ __all__ = [
     "RadiusProfile", "SolverConfig", "angular_energy_fraction", "angular_map",
     "bessel_j_zero", "coefficient_c", "convergence_study",
     "quadratic_bound", "disk_eigenvalues", "disk_radial_profile", "factors",
-    "load_corpus", "load_profile", "majorization_check",
-    "pauli_spectrum", "phi_sum",
+    "load_corpus", "load_profile", "majorization_check", "pauli_spectrum",
     "q_coefficient", "slope_validation", "solve", "sum_bound_chain",
     "transplant_identity", "verify_bounds", "verify_pauli_bounds",
 ]

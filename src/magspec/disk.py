@@ -329,9 +329,9 @@ def disk_radial_profile_deriv(mode: DiskMode, s_grid) -> np.ndarray:
 
 def normalization_constant(mode: DiskMode) -> float:
     """c such that 2*pi*int_0^1 (c f)^2 s ds = 1, to a relative 1e-10."""
-    norm_sq = 2.0 * math.pi * adaptive_integral(
-        lambda s: disk_radial_profile(mode, s) ** 2 * s, rel_tol=1e-10)
-    return 1.0 / math.sqrt(norm_sq)
+    (integral,) = adaptive_integral(
+        lambda s: (disk_radial_profile(mode, s) ** 2 * s,), rel_tol=1e-10)
+    return 1.0 / math.sqrt(2.0 * math.pi * integral)
 
 
 def _angular_coefficient(mode: DiskMode, s: np.ndarray) -> np.ndarray:

@@ -17,16 +17,14 @@ from typing import Iterable, Optional, Sequence
 from . import disk as disk_mod
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig, solve_with_error_bars
-from .spectra import DIRICHLET, NEUMANN, MagneticSpectrum, csv_rows, validate_bc
+from .spectra import DIRICHLET, NEUMANN, validate_bc
 
 __all__ = [
     "PhiFamily",
     "BoundVerdict",
-    "phi_sum",
     "phi_sum_values",
     "verify_bounds",
     "verdicts_to_csv",
-    "verdicts_from_csv",
     "propagated_error_bar",
     "ground_state_sandwich",
     "majorization_check",
@@ -53,6 +51,8 @@ class PhiFamily:
     def __post_init__(self):
         if self.tag not in _TAGS:
             raise ValueError(f"unknown functional tag {self.tag!r}")
+        if self.param is not None and not math.isfinite(self.param):
+            raise ValueError(f"{self.tag} parameter must be finite, got {self.param}")
         if self.tag in ("identity", "log"):
             if self.param is not None:
                 raise ValueError(f"{self.tag} takes no parameter")
@@ -141,25 +141,10 @@ def verdicts_to_csv(verdicts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def verdicts_from_csv(text: str) -> list:
-    return [BoundVerdict(functional=func, n=int(n), lhs=float(lhs), rhs=float(rhs),
-                         margin=float(margin), error_bar=float(bar),
-                         holds=holds == "True", bc=bc, beta=float(beta))
-            for func, n, lhs, rhs, margin, bar, holds, bc, beta
-            in csv_rows(text, VERDICT_CSV_HEADER)]
-
-
 def phi_sum_values(values: Sequence[float], phi: PhiFamily, n: int) -> float:
     if len(values) < n:
         raise ValueError(f"need {n} values, have {len(values)}")
     return sum(phi.value(v) for v in values[:n])
-
-
-def phi_sum(spectrum: MagneticSpectrum, g: float, phi: PhiFamily, n: int) -> float:
-    """sum_{j<=n} Phi(lambda_j * area / g)."""
-    if g < 1.0 - 1e-12:
-        raise ValueError(f"geometric factor must be >= 1, got {g}")
-    return phi_sum_values([v / g for v in spectrum.normalized], phi, n)
 
 
 def domain_and_disk_spectra(profile: RadiusProfile, beta: float, bc: str,

@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 from .functionals import PhiFamily, _verdicts, domain_and_disk_spectra
 from .geometry import RadiusProfile, factors
 from .solver import SolverConfig
-from .spectra import DIRICHLET, MagneticSpectrum, csv_rows
+from .spectra import DIRICHLET, MagneticSpectrum
 
 __all__ = [
     "PauliSpectrum",
@@ -63,10 +63,6 @@ class PauliSpectrum:
         return tuple(e[0] for e in self.entries)
 
     @property
-    def branches(self) -> tuple:
-        return tuple(e[1] for e in self.entries)
-
-    @property
     def shifted_normalized(self) -> tuple:
         shift = abs(self.beta) / self.area
         return tuple((v + shift) * self.area / self.g for v in self.eigenvalues)
@@ -78,19 +74,6 @@ class PauliSpectrum:
             lines.append(f"{i},{val!r},{branch},{src},{shifted!r},"
                          f"{self.beta!r},{self.area!r},{self.g!r}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PauliSpectrum":
-        entries, betas, areas, gs = [], set(), set(), set()
-        for _, val, branch, src, _, beta, area, g in csv_rows(text, PAULI_CSV_HEADER):
-            entries.append((float(val), branch, int(src)))
-            betas.add(float(beta))
-            areas.add(float(area))
-            gs.add(float(g))
-        if len(betas) != 1 or len(areas) != 1 or len(gs) != 1:
-            raise ValueError("inconsistent Pauli CSV rows")
-        return cls(entries=tuple(entries), beta=betas.pop(), area=areas.pop(),
-                   g=gs.pop())
 
 
 def pauli_spectrum(magnetic: MagneticSpectrum, n: int, g: float = 1.0) -> PauliSpectrum:

@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-12
+_FD_STEP = 1e-3  # five-point stencil spacing of q_coefficient_profile_path
 
 
 class DegenerateCoefficientError(RuntimeError):
@@ -96,11 +97,6 @@ class PerturbationProfile:
         object.__setattr__(self, "p", tuple(items))
 
     @property
-    def gamma(self) -> float:
-        """sum_{n != 0} |p_n|^2, i.e. the mean square of P."""
-        return 2.0 * self.sum_sq
-
-    @property
     def sum_sq(self) -> float:
         return sum(abs(v) ** 2 for _, v in self.p)
 
@@ -113,11 +109,6 @@ class PerturbationProfile:
         harmonics = tuple((n, 2.0 * eps * v.real, -2.0 * eps * v.imag)
                           for n, v in self.p)
         return RadiusProfile(1.0, harmonics)
-
-    @classmethod
-    def from_real_harmonics(cls, harmonics) -> "PerturbationProfile":
-        """Inverse bridge: (n, a_n, b_n) -> p_n = (a_n - i b_n)/2."""
-        return cls({n: complex(a, -b) / 2.0 for n, a, b in harmonics})
 
     def to_dict(self) -> dict:
         return {"p": {str(n): [v.real, v.imag] for n, v in self.p}}
@@ -184,7 +175,7 @@ def q_coefficient(beta: float, n: int) -> float:
     return out
 
 
-def q_coefficient_profile_path(beta: float, n: int, h: float = 1e-3) -> float:
+def q_coefficient_profile_path(beta: float, n: int) -> float:
     """q_n from boundary log-derivatives of the radial functions.
 
     Evaluates 1 + (f_n'(1)/f_n(1) + f_{-n}'(1)/f_{-n}(1))/2 with the
@@ -195,6 +186,7 @@ def q_coefficient_profile_path(beta: float, n: int, h: float = 1e-3) -> float:
     if n < 1:
         raise ValueError(f"harmonic index must be >= 1, got {n}")
     b0, _, a0, z = _ground_parameters(beta)
+    h = _FD_STEP
     stencil = np.array([1.0 - 2 * h, 1.0 - h, 1.0, 1.0 + h, 1.0 + 2 * h])
     out = 1.0
     for a in (a0, a0 + n):  # a parameters of f_{+n} and f_{-n}

@@ -27,23 +27,17 @@ def panel_nodes(n_panels: int, n_nodes: int):
     return nodes, weights
 
 
-def adaptive_integral(fn, rel_tol: float = 1e-8):
-    """Integrate fn (vectorized over a node array) over [0, 1] by panel doubling.
+def adaptive_integral(fn, rel_tol: float = 1e-8) -> tuple:
+    """Integrate the integrands fn returns over [0, 1] by panel doubling.
 
-    Stops when successive refinements agree to rel_tol relative to the
-    magnitude of the result (with an absolute floor for integrals that are
-    genuinely zero).  When fn returns a tuple of integrands on the same
-    nodes, each stops at its own level and the integrals come back as a
-    tuple, from one fn call per level.
+    fn maps a node array to a tuple of integrands on those nodes.  Each
+    integral stops when successive refinements agree to rel_tol relative
+    to its magnitude (with an absolute floor for integrals that are
+    genuinely zero); they come back as a tuple, from one fn call per level.
     """
-    single = True
-
     def integrate(panels):
-        nonlocal single
         x, w = panel_nodes(panels, _NODES_PER_PANEL)
-        values = fn(x)
-        single = not isinstance(values, tuple)
-        return [float(np.dot(w, v)) for v in ((values,) if single else values)]
+        return [float(np.dot(w, v)) for v in fn(x)]
 
     panels = _START_PANELS
     prev = integrate(panels)
@@ -61,7 +55,7 @@ def adaptive_integral(fn, rel_tol: float = 1e-8):
                 else:
                     changes.append(abs(c - prev[i]))
         if not changes:
-            return result[0] if single else tuple(result)
+            return tuple(result)
         prev = cur
     raise QuadratureError(
         f"panel refinement did not converge to rel_tol={rel_tol} "

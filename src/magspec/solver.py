@@ -316,21 +316,26 @@ def solve_with_error_bars(profile: RadiusProfile, cfg: SolverConfig) -> Magnetic
     discretization error of the fine value (second-order convergence puts
     the true error near a third of the gap).  Cached: profiles and configs
     are hashable and verification pipelines revisit the same pairs.
+    Raises ValueError when the clamped partner is not strictly coarser in
+    both counts, where the gap would read exactly 0.
     """
+    partner = cfg.coarsened()
+    if partner.n_radial == cfg.n_radial or partner.n_angular == cfg.n_angular:
+        raise ValueError(
+            f"Richardson error bars need a strictly coarser partner mesh: "
+            f"n_radial >= 9 and n_angular >= 18 (--nr >= 9, --nt >= 18), "
+            f"got {cfg.n_radial}x{cfg.n_angular}")
     fine = solve(profile, cfg)
-    coarse = solve(profile, cfg.coarsened())
+    coarse = solve(profile, partner)
     return replace(fine, error_bars=tuple(
         abs(f - c) for f, c in zip(fine.eigenvalues, coarse.eigenvalues)))
 
 
-def convergence_study(profile: RadiusProfile, cfg: SolverConfig,
-                      levels: int = 3) -> list:
-    """Solve at successively doubled resolution; list of (h, spectrum)."""
-    if levels < 2:
-        raise ValueError("need at least 2 refinement levels")
+def convergence_study(profile: RadiusProfile, cfg: SolverConfig) -> list:
+    """Solve at three successively doubled resolutions; list of (h, spectrum)."""
     out = []
     current = cfg
-    for _ in range(levels):
+    for _ in range(3):
         out.append((1.0 / current.n_radial, solve(profile, current)))
         current = current.refined()
     return out

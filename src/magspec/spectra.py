@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["MagneticSpectrum", "DIRICHLET", "NEUMANN", "validate_bc", "csv_rows"]
+__all__ = ["MagneticSpectrum", "DIRICHLET", "NEUMANN", "validate_bc"]
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -19,17 +19,6 @@ def validate_bc(bc: str) -> str:
     if bc not in (DIRICHLET, NEUMANN):
         raise ValueError(f"boundary condition must be 'dirichlet' or 'neumann', got {bc!r}")
     return bc
-
-
-def csv_rows(text: str, header: str) -> list:
-    """Fields of each data row of a CSV text whose first line must be header.
-
-    Blank lines and '#' comment lines are skipped.
-    """
-    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0] != header:
-        raise ValueError(f"unrecognized CSV header: expected {header!r}")
-    return [ln.split(",") for ln in lines[1:]]
 
 
 @dataclass(eq=False)
@@ -83,18 +72,3 @@ class MagneticSpectrum:
         for i, v in enumerate(self.eigenvalues, start=1):
             lines.append(f"{i},{v!r},{v * self.area!r},{self.bc},{self.beta!r},{self.provenance}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "MagneticSpectrum":
-        eigenvalues, areas, bcs, betas, provs = [], set(), set(), set(), set()
-        for _, ev, lam_a, bc, beta, prov in csv_rows(text, _CSV_HEADER):
-            eigenvalues.append(float(ev))
-            areas.add(float(lam_a) / float(ev))
-            bcs.add(bc)
-            betas.add(float(beta))
-            provs.add(prov)
-        if len(bcs) != 1 or len(betas) != 1 or len(provs) != 1:
-            raise ValueError("inconsistent spectrum CSV rows")
-        area = sum(areas) / len(areas)
-        return cls(eigenvalues=tuple(eigenvalues), bc=bcs.pop(), beta=betas.pop(),
-                   area=area, provenance=provs.pop())

@@ -66,8 +66,7 @@ def test_criterion_02_disk_oracle_convergence():
     for beta in (0.0, 5.0, 20.0):
         reference = disk_eigenvalues(beta, 5).eigenvalues
         study = convergence_study(
-            DISK, SolverConfig(n_radial=24, n_angular=48, beta=beta, n_eigs=5),
-            levels=3)
+            DISK, SolverConfig(n_radial=24, n_angular=48, beta=beta, n_eigs=5))
         finest = study[-1][1]
         assert finest.provenance == "discrete(96x192)"
         for got, expect in zip(finest.eigenvalues, reference):

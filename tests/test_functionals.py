@@ -4,7 +4,7 @@ import pytest
 
 from magspec.disk import disk_eigenvalues
 from magspec.functionals import (BoundVerdict, PhiFamily, ground_state_sandwich,
-                                 majorization_check, phi_sum, phi_sum_values,
+                                 majorization_check, phi_sum_values,
                                  verify_bounds)
 from magspec.geometry import RadiusProfile
 from magspec.kummer import bessel_j_zero
@@ -22,6 +22,10 @@ class TestPhiFamily:
             PhiFamily("negpower", 1.0)
         with pytest.raises(ValueError):
             PhiFamily("negexp", -1.0)
+        for tag, param in (("negexp", math.inf), ("negpower", -math.inf),
+                           ("negexp", math.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                PhiFamily(tag, param)
         with pytest.raises(ValueError):
             PhiFamily("identity", 2.0)
         with pytest.raises(ValueError):
@@ -45,31 +49,32 @@ class TestPhiFamily:
 class TestPhiSum:
     def test_identity_on_disk_ground_state(self):
         spec = disk_eigenvalues(0.0, 1)
-        assert phi_sum(spec, 1.0, PhiFamily("identity"), 1) == pytest.approx(
-            bessel_j_zero(0, 1) ** 2 * math.pi, rel=1e-12)
+        got = phi_sum_values(spec.normalized, PhiFamily("identity"), 1)
+        assert got == pytest.approx(bessel_j_zero(0, 1) ** 2 * math.pi, rel=1e-12)
 
     def test_negexp_bounded(self):
         spec = disk_eigenvalues(5.0, 4)
-        val = phi_sum(spec, 1.0, PhiFamily("negexp", 1.0), 4)
+        val = phi_sum_values(spec.normalized, PhiFamily("negexp", 1.0), 4)
         assert 0.0 < val < 4.0
 
     def test_power_half_zero_field(self):
         # oracle: Bessel zeros, with the doubled m = +-1 level
         spec = disk_eigenvalues(0.0, 3)
         expect = bessel_j_zero(0, 1) + 2 * bessel_j_zero(1, 1)  # sqrt(j^2) = j
-        got = phi_sum(spec, 1.0, PhiFamily("power", 0.5), 3) / math.sqrt(math.pi)
+        got = phi_sum_values(spec.normalized, PhiFamily("power", 0.5), 3)
+        got /= math.sqrt(math.pi)
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_heat_trace_decreasing_in_t(self):
         spec = disk_eigenvalues(5.0, 5)
-        sums = [phi_sum(spec, 1.0, PhiFamily("negexp", t), 5)
+        sums = [phi_sum_values(spec.normalized, PhiFamily("negexp", t), 5)
                 for t in (0.1, 0.5, 1.0, 2.0)]
         assert all(a > b for a, b in zip(sums, sums[1:]))
 
     def test_needs_enough_entries(self):
         spec = disk_eigenvalues(0.0, 2)
         with pytest.raises(ValueError):
-            phi_sum(spec, 1.0, PhiFamily("identity"), 3)
+            phi_sum_values(spec.normalized, PhiFamily("identity"), 3)
 
 
 class TestVerdicts:

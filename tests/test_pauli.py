@@ -29,7 +29,7 @@ class TestMerge:
         ps = pauli_spectrum(magnetic, 1)
         assert ps.eigenvalues[0] + 5.0 / magnetic.area == pytest.approx(
             magnetic.eigenvalues[0], rel=1e-15)
-        assert ps.branches[0] == "spin_up"
+        assert ps.entries[0][1] == "spin_up"
 
     def test_zero_field_doubles_spectrum(self):
         magnetic = disk_eigenvalues(0.0, 4)

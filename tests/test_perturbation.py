@@ -21,7 +21,6 @@ class TestProfile:
 
     def test_gamma(self):
         prof = PerturbationProfile({2: 0.5})
-        assert prof.gamma == pytest.approx(0.5)   # 2 * |1/2|^2
         assert prof.sum_sq == pytest.approx(0.25)
         assert prof.sum_n2_sq == pytest.approx(1.0)
 
@@ -39,14 +38,6 @@ class TestProfile:
         expect = eps * (math.cos(2 * theta) + 0.2 * math.cos(3 * theta)
                         + 0.4 * math.sin(3 * theta))
         assert rp.radius(theta) - 1.0 == pytest.approx(expect, abs=1e-12)
-
-    def test_roundtrip_through_real_harmonics(self):
-        eps = 0.2
-        prof = PerturbationProfile({1: complex(0.3, 0.1), 4: -0.2})
-        rp = prof.to_radius_profile(eps)
-        back = PerturbationProfile.from_real_harmonics(rp.harmonics)
-        assert dict(back.p) == pytest.approx(
-            {n: eps * v for n, v in prof.p})
 
     def test_dict_roundtrip(self):
         prof = PerturbationProfile({2: complex(0.5, -0.25)})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,31 +124,48 @@ class TestInvariances:
     def test_provenance_and_csv_roundtrip(self):
         spec = solve(DISK, coarse(n_eigs=2))
         assert spec.provenance == "discrete(16x32)"
-        back = MagneticSpectrum.from_csv(spec.to_csv())
-        assert back.eigenvalues == spec.eigenvalues
-        assert back.area == pytest.approx(spec.area, rel=1e-12)
-        assert back.bc == spec.bc and back.beta == spec.beta
+        lines = spec.to_csv().splitlines()
+        assert lines[0] == "index,eigenvalue,lambda_times_A,bc,beta,provenance"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [int(r[0]) for r in rows] == [1, 2]
+        assert tuple(float(r[1]) for r in rows) == spec.eigenvalues
+        assert tuple(float(r[2]) for r in rows) == spec.normalized
+        assert {(r[3], float(r[4]), r[5]) for r in rows} == {
+            (spec.bc, spec.beta, spec.provenance)}
 
 
 class TestConvergence:
     def test_study_orders_beta0(self):
         ref = disk_eigenvalues(0.0, 1).eigenvalues
-        study = convergence_study(DISK, coarse(n_eigs=1, nr=12, nt=24), levels=3)
+        study = convergence_study(DISK, coarse(n_eigs=1, nr=12, nt=24))
         orders = observed_orders(study, reference=ref)
         assert 1.7 <= orders[0] <= 2.3
 
     def test_study_without_reference(self):
-        study = convergence_study(DISK, coarse(n_eigs=1, nr=8, nt=16), levels=3)
+        study = convergence_study(DISK, coarse(n_eigs=1, nr=8, nt=16))
         orders = observed_orders(study)
         assert 1.5 <= orders[0] <= 2.5
 
     def test_cauchy_refinement_nonpolynomial_profile(self):
         grid = np.arange(256) * (2 * np.pi / 256)
         prof = RadiusProfile.from_samples(np.sqrt(1 + 0.3 * np.cos(2 * grid)))
-        study = convergence_study(prof, coarse(n_eigs=1, nr=8, nt=16), levels=3)
+        study = convergence_study(prof, coarse(n_eigs=1, nr=8, nt=16))
         vals = [s.eigenvalues[0] for _, s in study]
         gap1, gap2 = abs(vals[1] - vals[0]), abs(vals[2] - vals[1])
         assert gap2 <= gap1 / 3.0
+
+
+class TestErrorBars:
+    @pytest.mark.parametrize("nr, nt", [(8, 32), (16, 16)])
+    def test_minimum_mesh_has_no_partner(self, nr, nt):
+        # coarsened() clamps to the same count here, so the gap would read 0
+        with pytest.raises(ValueError, match="--nr >= 9, --nt >= 18"):
+            solve_with_error_bars(ELLIPSE, coarse(nr=nr, nt=nt))
+
+    def test_smallest_mesh_with_a_partner(self):
+        cfg = coarse(nr=9, nt=18)
+        assert (cfg.coarsened().n_radial, cfg.coarsened().n_angular) == (8, 16)
+        assert all(bar > 0 for bar in solve_with_error_bars(ELLIPSE, cfg).error_bars)
 
 
 class TestEigenvectors:
@@ -220,7 +238,7 @@ class TestShiftInvertFactorization:
         spec = solve(DISK, coarse(beta=5.0, n_eigs=2))
         assert spec.stats.lu_fill > 0
         assert "stats" not in repr(spec) and "mirror" not in spec.to_csv()
-        assert MagneticSpectrum.from_csv(spec.to_csv()).stats is None
+        assert replace(spec, stats=None).to_csv() == spec.to_csv()
 
 
 def _complex_operator(profile, bc, beta, nr, nt):
