@@ -440,7 +440,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+    except (ValueError, OSError, RuntimeError, KeyError, OverflowError) as exc:
         print(f"magspec {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -249,7 +249,11 @@ class PerturbationReport:
 def slope_validation(beta: float, profile: PerturbationProfile,
                      eps_list: Sequence[float] = (0.04, 0.02, 0.01),
                      cfg: Optional[SolverConfig] = None) -> PerturbationReport:
-    """Compare the predicted eps^2 slope against discrete solves."""
+    """Compare the predicted eps^2 slope against discrete solves.
+
+    Raises ValueError when cfg has no strictly coarser Richardson partner
+    (SolverConfig.richardson_partner).
+    """
     b0, lam0, a0, z = _ground_parameters(beta)
     if cfg is None:
         cfg = SolverConfig(n_radial=96, n_angular=192, beta=b0, n_eigs=1)
@@ -264,7 +268,7 @@ def slope_validation(beta: float, profile: PerturbationProfile,
     predicted = sum(c * abs(v) ** 2 * q[n] for n, v in profile.p)
 
     fine = replace(cfg, bc="dirichlet", beta=b0, n_eigs=1)
-    levels = [fine.coarsened(), fine]
+    levels = [fine.richardson_partner(), fine]
     disk = RadiusProfile(1.0)
     disk_vals = [solve(disk, lv).eigenvalues[0] for lv in levels]
 

@@ -1,11 +1,14 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import magspec
 from magspec.cli import _parse_beta_range, main
 from magspec.disk import disk_eigenvalues
 from magspec.functionals import BoundVerdict, verdicts_to_csv
@@ -200,6 +203,15 @@ class TestVerify:
         assert captured.err.startswith("magspec verify: error: ")
         assert "--nr >= 9, --nt >= 18" in captured.err
 
+    def test_overflowing_functional_is_an_error(self, capsys, disk_json):
+        # x ** -1000 of a normalized eigenvalue below 1 overflows a float
+        code = main(["verify", "--domain", disk_json, "--bc", "neumann", "--beta", "1",
+                     "--n", "1", "--phi", "negpower:-1000", "--nr", "16", "--nt", "32"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("magspec verify: error: ")
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -302,6 +314,18 @@ class TestTransplantAndPerturb:
         assert rows[0] == "n,q_n"
         assert rows[1].startswith("1,")
 
+    @pytest.mark.parametrize("nr, nt", [("8", "32"), ("16", "16")])
+    def test_perturb_minimum_mesh_is_refused(self, capsys, tmp_path, nr, nt):
+        ppath = tmp_path / "p.json"
+        ppath.write_text(json.dumps({"p": {"2": [0.5, 0.0]}}))
+        code = main(["perturb", "--profile", str(ppath), "--beta", "5",
+                     "--eps", "0.04,0.02", "--nr", nr, "--nt", nt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("magspec perturb: error: ")
+        assert "--nr >= 9, --nt >= 18" in captured.err
+
 
 class TestSweep:
     def test_neumann_sweep_csv(self, capsys, disk_json, tmp_path):
@@ -344,3 +368,15 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "magspec" in proc.stdout
+
+
+def test_module_entry_point(capsys):
+    src = str(Path(magspec.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["disk", "--beta", "5", "--n", "3"]
+    proc = subprocess.run([sys.executable, "-m", "magspec", *argv],
+                          capture_output=True, env=env)
+    assert proc.returncode == 0
+    assert main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()

@@ -177,6 +177,14 @@ class TestSlopeValidation:
         report = slope_validation(5.0, PerturbationProfile(p), eps, cfg)
         assert report.relative_mismatch <= 2e-5
 
+    @pytest.mark.parametrize("nr, nt", [(8, 32), (16, 16)])
+    def test_minimum_mesh_has_no_partner(self, nr, nt):
+        # coarsened() clamps to the same count here, so the Richardson step
+        # would extrapolate across a halving that did not happen
+        cfg = SolverConfig(n_radial=nr, n_angular=nt, n_eigs=1)
+        with pytest.raises(ValueError, match="--nr >= 9, --nt >= 18"):
+            slope_validation(5.0, PerturbationProfile({2: 0.5}), (0.04, 0.02), cfg)
+
     def test_sandwich_on_measured_values(self):
         # 1 <= lambda_eps A_eps / (lambda_1(D) pi) <= G(Omega_eps)
         prof = PerturbationProfile({2: 0.5})

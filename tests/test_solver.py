@@ -251,9 +251,35 @@ def _complex_operator(profile, bc, beta, nr, nt):
     return stiff, mass, area
 
 
+def _complex_eigsh(profile, bc, beta, nr, nt, k):
+    """The k smallest eigenvalues from eigsh on the complex K and M."""
+    stiff, mass, area = _complex_operator(profile, bc, beta, nr, nt)
+    sigma = -(0.5 * abs(beta) + 0.1) / area if bc == "neumann" else 0.0
+    lu = spla.splu((stiff - sigma * mass).tocsc())
+    opinv = spla.LinearOperator(stiff.shape, matvec=lu.solve, dtype=complex)
+    rng = np.random.default_rng(_EIG_SEED)
+    v0 = rng.standard_normal(stiff.shape[0]) + 1j * rng.standard_normal(stiff.shape[0])
+    return np.sort(spla.eigsh(stiff, k=k, M=mass, sigma=sigma, v0=v0, tol=0,
+                              OPinv=opinv, return_eigenvectors=False))
+
+
+def _check_mapped_vectors(profile, bc, beta):
+    """solve's vectors are eigenvectors of the complex K, M and M-orthogonal."""
+    spec = solve(profile, SolverConfig(n_radial=32, n_angular=64, bc=bc,
+                                       beta=beta, n_eigs=6))
+    stiff, mass, _ = _complex_operator(profile, bc, beta, 32, 64)
+    vecs, vals = spec.eigenvectors, np.array(spec.eigenvalues)
+    resid = np.linalg.norm(stiff @ vecs - (mass @ vecs) * vals, axis=0)
+    assert np.all(resid <= 1e-10 * vals.max() * np.linalg.norm(vecs, axis=0))
+    # distinct vectors, M-orthogonal: no eigenvalue is found twice
+    gram = vecs.conj().T @ (mass @ vecs)
+    np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
+
+
 class TestArithmetic:
-    """An exact symmetry lets solve run in real arithmetic: K itself at
-    beta = 0, and a folded real basis on mirror-symmetric domains."""
+    """An exact symmetry lets solve run in real arithmetic: decoupled
+    angular sectors on a disk, K itself at beta = 0, and a folded real
+    basis on mirror-symmetric domains."""
 
     CASES = [("dirichlet", 0.0), ("dirichlet", 5.0), ("dirichlet", -5.0),
              ("neumann", 5.0)]
@@ -264,29 +290,15 @@ class TestArithmetic:
         profile = corpus_entry(name).profile
         cfg = SolverConfig(n_radial=32, n_angular=64, bc=bc, beta=beta, n_eigs=8)
         spec = solve(profile, cfg)
-        assert spec.stats.arithmetic == ("real" if beta == 0.0 else "mirror")
-        stiff, mass, area = _complex_operator(profile, bc, beta, 32, 64)
-        sigma = -(0.5 * abs(beta) + 0.1) / area if bc == "neumann" else 0.0
-        lu = spla.splu((stiff - sigma * mass).tocsc())
-        opinv = spla.LinearOperator(stiff.shape, matvec=lu.solve, dtype=complex)
-        rng = np.random.default_rng(_EIG_SEED)
-        v0 = rng.standard_normal(stiff.shape[0]) + 1j * rng.standard_normal(stiff.shape[0])
-        ref = np.sort(spla.eigsh(stiff, k=8, M=mass, sigma=sigma, v0=v0, tol=0,
-                                 OPinv=opinv, return_eigenvectors=False))
-        np.testing.assert_allclose(spec.eigenvalues, ref, rtol=1e-12, atol=0)
+        assert spec.stats.arithmetic == (
+            "radial" if name == "disk" else "real" if beta == 0.0 else "mirror")
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   _complex_eigsh(profile, bc, beta, 32, 64, 8),
+                                   rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("bc, beta", CASES)
     def test_mapped_vectors_solve_the_complex_problem(self, bc, beta):
-        profile = corpus_entry("ellipse_060").profile
-        spec = solve(profile, SolverConfig(n_radial=32, n_angular=64, bc=bc,
-                                           beta=beta, n_eigs=6))
-        stiff, mass, _ = _complex_operator(profile, bc, beta, 32, 64)
-        vecs, vals = spec.eigenvectors, np.array(spec.eigenvalues)
-        resid = np.linalg.norm(stiff @ vecs - (mass @ vecs) * vals, axis=0)
-        assert np.all(resid <= 1e-10 * vals.max() * np.linalg.norm(vecs, axis=0))
-        # distinct vectors, M-orthogonal: no eigenvalue is found twice
-        gram = vecs.conj().T @ (mass @ vecs)
-        np.testing.assert_allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
+        _check_mapped_vectors(corpus_entry("ellipse_060").profile, bc, beta)
 
     def test_route_follows_the_symmetry(self):
         grid = np.arange(256) * (2 * np.pi / 256)
@@ -297,8 +309,9 @@ class TestArithmetic:
         assert solve(tilted, cfg).stats.arithmetic == "complex"
         assert solve(TURNED_FLOWER, cfg).stats.arithmetic == "complex"
         for profile in (sampled, tilted, TURNED_FLOWER, DISK):
-            assert solve(profile, coarse(n_eigs=2)).stats.arithmetic == "real"
-            assert solve(profile, coarse(bc="neumann", n_eigs=2)).stats.arithmetic == "real"
+            route = "radial" if profile is DISK else "real"
+            assert solve(profile, coarse(n_eigs=2)).stats.arithmetic == route
+            assert solve(profile, coarse(bc="neumann", n_eigs=2)).stats.arithmetic == route
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_dominant_modes_of_the_disk(self, beta):
@@ -309,6 +322,54 @@ class TestArithmetic:
         modes = disk_eigenvalues(beta, 8).modes
         assert [dominant_angular_mode(spec, j) for j in range(8)] == \
             [abs(mode.m) for mode in modes]
+
+
+class TestRadialRoute:
+    """K and M of a disk are unchanged by turning the mesh one angular
+    column, so the angular Fourier sectors decouple into real blocks."""
+
+    ZERO_HARMONIC = RadiusProfile(1.0, ((2, 0.0, 0.0),))
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("beta", [0.0, 5.0, -5.0])
+    @pytest.mark.parametrize("name", ["disk", "disk_scaled_2x", "zero_harmonic"])
+    def test_route_taken_on_disks(self, name, beta, bc):
+        profile = (self.ZERO_HARMONIC if name == "zero_harmonic"
+                   else corpus_entry(name).profile)
+        spec = solve(profile, coarse(beta=beta, bc=bc, n_eigs=2))
+        assert spec.stats.arithmetic == "radial"
+
+    @pytest.mark.parametrize("bc, beta", TestArithmetic.CASES)
+    def test_mapped_vectors_solve_the_complex_problem(self, bc, beta):
+        # a conjugated synthesis phase or a lost centre coupling fails here
+        _check_mapped_vectors(DISK, bc, beta)
+
+    def test_route_not_taken_off_disks(self):
+        near = corpus_entry("near_circle_2_010").profile
+        assert solve(near, coarse(beta=5.0, n_eigs=2)).stats.arithmetic == "mirror"
+        assert solve(ELLIPSE, coarse(n_eigs=2)).stats.arithmetic == "real"
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    def test_fill_of_the_sector_blocks(self, bc):
+        # tridiagonal sector blocks store 32k LU entries at 64x128, against
+        # 0.82M for the folded mirror operator of the same disk
+        cfg = SolverConfig(n_radial=64, n_angular=128, bc=bc, beta=5.0, n_eigs=1)
+        spec = solve(DISK, cfg)
+        assert spec.stats.arithmetic == "radial"
+        assert spec.stats.lu_fill <= 40_000
+
+    def test_every_double_level_found_twice(self):
+        # at beta = 0 the sectors m and -m are the same block, and each
+        # |m| > 0 level must come out twice, as the complex solve finds it
+        from magspec.solver import dominant_angular_mode
+        spec = solve(DISK, SolverConfig(n_radial=32, n_angular=64, n_eigs=20))
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   _complex_eigsh(DISK, "dirichlet", 0.0, 32, 64, 20),
+                                   rtol=1e-12, atol=0)
+        vals = np.array(spec.eigenvalues)
+        for j in range(19):  # the 20th level's twin may lie past the cut
+            twins = np.sum(np.isclose(vals, vals[j], rtol=1e-12, atol=0))
+            assert twins == (1 if dominant_angular_mode(spec, j) == 0 else 2)
 
 
 def _expanded_stiffness(profile, beta, nr, nt):
