@@ -291,9 +291,14 @@ def _cmd_pauli(args) -> int:
 # ----------------------------------------------------------------------- sweep
 
 def _cmd_sweep(args) -> int:
+    threads = os.environ.get("MAGSPEC_THREADS", "")
+    if threads and not threads.isdecimal():
+        print(f"magspec sweep: error: MAGSPEC_THREADS must be a non-negative "
+              f"integer, got {threads!r}", file=sys.stderr)
+        return 2
+    workers = int(threads or 0) or None  # unset, empty or 0: the pool's default
     profile = load_profile(args.domain)
     betas = _parse_beta_range(args.beta)
-    workers = int(os.environ.get("MAGSPEC_THREADS", "0")) or None
 
     def point(beta: float):
         cfg = _solver_config(args, args.bc, beta, args.n)

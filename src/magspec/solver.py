@@ -25,7 +25,17 @@ fixed, seeded start vector so repeated runs are bit-identical and the
 Krylov space is not confined to a rotation-symmetry sector on symmetric
 meshes.  eigsh hands a complex Hermitian problem to the non-Hermitian
 Arnoldi routine, so the solver first looks for an exact symmetry that
-makes the problem real.  The routes, in the order they are tried:
+makes the problem real.  Where none exists, Arnoldi runs the standard
+problem for OP = (K - sigma M)^-1 M (ARPACK's shift-invert mode with
+B = I), whose Ritz values 1/(lambda - sigma) give the same eigenvalues as
+the generalized form: given M, scipy builds OP as a closure that refers
+back to its own parameter object, and that reference cycle would keep
+the factorization, K, M and the Arnoldi basis alive after solve returns,
+until the cyclic garbage collector happens to run.  The real routes keep
+the generalized call, since symmetric Lanczos needs the M inner product
+(their operators hold no such cycle).  So the complex route returns
+eigenvectors of unit 2-norm and the real routes ones of unit M-norm.
+The routes, in the order they are tried:
 
 - "radial": K and M are unchanged by turning the mesh one angular column
   and K commutes with T below, as on a disk at any beta.  In the angular
@@ -373,14 +383,19 @@ def solve(profile: RadiusProfile, cfg: SolverConfig) -> MagneticSpectrum:
     op = lhs - sigma * rhs if sigma else lhs
     lu = spla.splu(op.tocsc(), permc_spec="MMD_AT_PLUS_A",
                    options=dict(SymmetricMode=True))
-    opinv = spla.LinearOperator(op.shape, matvec=lu.solve, dtype=op.dtype)
+    # the complex route runs the standard problem for (K - sigma M)^-1 M:
+    # given M, eigs keeps its operator in a reference cycle that pins lu
+    standard = arithmetic == "complex"
+    opinv = spla.LinearOperator(
+        op.shape, dtype=op.dtype,
+        matvec=(lambda x: lu.solve(rhs @ x)) if standard else lu.solve)
     rng = np.random.default_rng(_EIG_SEED)
     v0 = rng.standard_normal(ndof) + 1j * rng.standard_normal(ndof)
-    if arithmetic != "complex":
+    if not standard:
         v0 = v0.real
     try:
-        vals, vecs = spla.eigsh(lhs, k=k, M=rhs, sigma=sigma, which="LM",
-                                v0=v0, tol=0, OPinv=opinv)
+        vals, vecs = spla.eigsh(lhs, k=k, M=None if standard else rhs, sigma=sigma,
+                                which="LM", v0=v0, tol=0, OPinv=opinv)
     except spla.ArpackNoConvergence as exc:
         raise EigenSolveError(f"shift-invert iteration failed: {exc}") from exc
     if expand is not None:

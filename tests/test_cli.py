@@ -342,6 +342,26 @@ class TestSweep:
         betas = [float(ln.split(",")[0]) for ln in lines[1:]]
         assert betas == [2.0, 4.0, 6.0]
 
+    SMALL = ["--beta", "2:4:2", "--nr", "12", "--nt", "24"]
+
+    @pytest.mark.parametrize("threads", ["", "0", "2"])
+    def test_thread_count_from_environment(self, capsys, monkeypatch, disk_json, threads):
+        # set but empty counts as unset; the pool size never changes the bytes
+        argv = ["sweep", "--domain", disk_json] + self.SMALL
+        monkeypatch.delenv("MAGSPEC_THREADS", raising=False)
+        unset = run(capsys, argv)
+        monkeypatch.setenv("MAGSPEC_THREADS", threads)
+        assert unset[0] == 0 and run(capsys, argv) == unset
+
+    @pytest.mark.parametrize("threads", ["abc", "-2", "1.5", " "])
+    def test_bad_thread_count_is_usage_error(self, capsys, monkeypatch, disk_json, threads):
+        monkeypatch.setenv("MAGSPEC_THREADS", threads)
+        assert main(["sweep", "--domain", disk_json] + self.SMALL) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"MAGSPEC_THREADS must be a non-negative integer, got {threads!r}" \
+            in captured.err
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, capsys, ellipse_json, tmp_path):

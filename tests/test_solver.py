@@ -1,3 +1,4 @@
+import gc
 import math
 from dataclasses import replace
 
@@ -300,6 +301,24 @@ class TestArithmetic:
     def test_mapped_vectors_solve_the_complex_problem(self, bc, beta):
         _check_mapped_vectors(corpus_entry("ellipse_060").profile, bc, beta)
 
+    COMPLEX_CASES = [("dirichlet", 5.0), ("dirichlet", -5.0), ("neumann", 5.0)]
+
+    @pytest.mark.parametrize("k", [1, 8])
+    @pytest.mark.parametrize("bc, beta", COMPLEX_CASES)
+    def test_complex_route_agrees_with_generalized_eigsh(self, bc, beta, k):
+        # solve runs the standard problem for (K - sigma M)^-1 M; the
+        # reference runs eigsh's generalized mode under its own ordering
+        cfg = SolverConfig(n_radial=32, n_angular=64, bc=bc, beta=beta, n_eigs=k)
+        spec = solve(TURNED_FLOWER, cfg)
+        assert spec.stats.arithmetic == "complex"
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   _complex_eigsh(TURNED_FLOWER, bc, beta, 32, 64, k),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bc, beta", COMPLEX_CASES)
+    def test_complex_route_vectors_solve_the_problem(self, bc, beta):
+        _check_mapped_vectors(TURNED_FLOWER, bc, beta)
+
     def test_route_follows_the_symmetry(self):
         grid = np.arange(256) * (2 * np.pi / 256)
         sampled = RadiusProfile.from_samples(np.sqrt(1 + 0.3 * np.cos(2 * grid)))
@@ -370,6 +389,27 @@ class TestRadialRoute:
         for j in range(19):  # the 20th level's twin may lie past the cut
             twins = np.sum(np.isclose(vals, vals[j], rtol=1e-12, atol=0))
             assert twins == (1 if dominant_angular_mode(spec, j) == 0 else 2)
+
+
+class TestNoReferenceCycles:
+    """A solve frees its factorization, matrices and Krylov basis when it
+    returns, on every route, without waiting for the cyclic collector."""
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("name, beta, route", [
+        ("disk", 5.0, "radial"), ("flower_5", 0.0, "real"),
+        ("flower_5", 5.0, "mirror"), ("turned_flower", 5.0, "complex")])
+    def test_solve_leaves_no_cyclic_garbage(self, name, beta, route, bc):
+        profile = (TURNED_FLOWER if name == "turned_flower"
+                   else corpus_entry(name).profile)
+        cfg = coarse(beta=beta, bc=bc, n_eigs=2)
+        gc.collect()
+        gc.disable()
+        try:
+            assert solve(profile, cfg).stats.arithmetic == route
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _expanded_stiffness(profile, beta, nr, nt):
